@@ -5,7 +5,6 @@ from .release import (
     Budget,
     GaussianSummary,
     PrivateRelease,
-    compose,
     from_unit_release,
     release,
     sensitivities,
@@ -48,7 +47,6 @@ __all__ = [
     "PriorSpec",
     "PrivateRelease",
     "SamplerConfig",
-    "compose",
     "coverage_aggregate",
     "ess",
     "from_unit_release",

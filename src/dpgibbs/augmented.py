@@ -10,6 +10,10 @@ The acceptance probability only involves the released-statistic Laplace
 factors because the proposal cancels the data-model term.
 
 Per-sweep cost is linear in n, unlike the collapsed sampler.
+
+The (mu, sigma_sq) conditionals are gibbs.draw_mu and gibbs.draw_sigma_sq,
+without the collapsed sampler's TGM floor and cap on sigma_sq; this
+module owns only the latent-value moves.
 """
 
 from __future__ import annotations
@@ -20,9 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .distributions import TruncationWindow, sample_trunc_gamma, sample_trunc_normal
-from .errors import ConfigurationError, NumericalError
-from .gibbs import PosteriorDraws, PriorSpec, SamplerConfig
+from .distributions import sample_trunc_normal
+# Not called here: kept so that perfbench/layers.py can rebind it.
+from .distributions import sample_trunc_gamma  # noqa: F401
+from .errors import NumericalError
+from .gibbs import (
+    PosteriorDraws,
+    PriorSpec,
+    SamplerConfig,
+    clamped_release,
+    draw_mu,
+    draw_sigma_sq,
+    unit_inputs,
+)
 from .release import PrivateRelease
 
 _REFRESH_EVERY = 1000  # accepted swaps between cache integrity checks
@@ -78,12 +92,11 @@ def mh_accept_prob(ybar_prev: float, ybar_prop: float, s2_prev: float,
 
 def _init_augmented(release_unit: PrivateRelease, rng: Generator) -> AugmentedState:
     n = release_unit.n
-    mu = min(max(release_unit.ybar_star, 0.0), 1.0)
-    sigma_sq = min(max(release_unit.s_sq_star, 1e-4), 0.25)
+    mu, sigma_sq = clamped_release(release_unit)
     sd = math.sqrt(sigma_sq)
     y = np.empty(n)
     for i in range(n):
-        y[i] = sample_trunc_normal(mu, sd, TruncationWindow(0.0, 1.0), rng)
+        y[i] = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
     return AugmentedState(mu=mu, sigma_sq=sigma_sq, y=y,
                           ybar=float(y.mean()), s_sq=float(y.var(ddof=1)))
 
@@ -94,50 +107,16 @@ def augmented_sweep(state: AugmentedState, release_unit: PrivateRelease,
     n = release_unit.n
     y = state.y
     ybar, s_sq = state.ybar, state.s_sq
-
-    # -- mu --
-    if prior.kind == "flat":
-        mean = ybar
-        sd = math.sqrt(state.sigma_sq / n)
-    else:
-        mean = (n * ybar + prior.kappa0 * prior.mu0) / (n + prior.kappa0)
-        sd = math.sqrt(state.sigma_sq / (n + prior.kappa0))
-    if not constrained:
-        mu = mean + sd * rng.standard_normal()
-    elif state.sigma_sq >= 0.25:
-        mu = 0.5
-    else:
-        r = math.sqrt(0.25 - state.sigma_sq)
-        mu = sample_trunc_normal(mean, sd, TruncationWindow(0.5 - r, 0.5 + r), rng)
-        while state.sigma_sq > mu * (1.0 - mu):
-            mu = math.nextafter(mu, 0.5)
-    state.mu = mu
-
-    # -- sigma_sq --
-    if prior.kind == "flat":
-        shape = (n - 2.0) / 2.0
-        rate = ((n - 1.0) * s_sq + n * (ybar - mu) ** 2) / 2.0
-    else:
-        shape = (n + prior.nu0) / 2.0
-        rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq
-                + n * (ybar - mu) ** 2) / 2.0
-    if constrained:
-        lo = 1.0 / (mu * (1.0 - mu))
-        g = sample_trunc_gamma(shape, rate, TruncationWindow(lo, math.inf), rng)
-        sigma_sq = 1.0 / g
-        cap = mu * (1.0 - mu)
-        while sigma_sq > cap:
-            sigma_sq = math.nextafter(sigma_sq, 0.0)
-    else:
-        sigma_sq = 1.0 / sample_trunc_gamma(shape, rate, TruncationWindow(0.0, math.inf), rng)
-    state.sigma_sq = sigma_sq
+    mu = draw_mu(ybar, state.sigma_sq, n, prior, constrained, rng)
+    sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, None, rng)
+    state.mu, state.sigma_sq = mu, sigma_sq
 
     # -- latent values, fixed ascending scan --
     sd = math.sqrt(sigma_sq)
     accepted = 0
     for i in range(n):
         if constrained:
-            prop = sample_trunc_normal(mu, sd, TruncationWindow(0.0, 1.0), rng)
+            prop = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
         else:
             prop = mu + sd * rng.standard_normal()
         yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), prop, n)
@@ -159,19 +138,15 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
     (mu, sigma_sq) inside the feasible parameter region, with the flat
     prior read as proper and uniform over that region.
     """
-    release_unit = release.to_unit()
-    prior_unit = prior.to_unit(release.bounds)
-    if prior_unit.kind == "flat" and release.n < 3:
-        raise ConfigurationError("the flat prior needs n >= 3")
+    release_unit, prior_unit = unit_inputs(release, prior)
 
     rng = np.random.default_rng(config.seed)
     state = _init_augmented(release_unit, rng)
-    burn_in = config.effective_burn_in
-    kept = (config.iters - burn_in + config.thin - 1) // config.thin
-    mu = np.empty(kept)
-    sigma_sq = np.empty(kept)
-    ybar = np.empty(kept)
-    s_sq = np.empty(kept)
+    kept = config.kept
+    mu = np.empty(len(kept))
+    sigma_sq = np.empty(len(kept))
+    ybar = np.empty(len(kept))
+    s_sq = np.empty(len(kept))
 
     k = 0
     since_refresh = 0
@@ -188,11 +163,11 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
                 )
             state.ybar, state.s_sq = exact_ybar, exact_s_sq
             since_refresh = 0
-        if t >= burn_in and (t - burn_in) % config.thin == 0:
+        if t in kept:
             mu[k] = state.mu
             sigma_sq[k] = state.sigma_sq
             ybar[k] = state.ybar
             s_sq[k] = state.s_sq
             k += 1
-    return PosteriorDraws(mu=mu[:k], sigma_sq=sigma_sq[:k], ybar=ybar[:k],
-                          s_sq=s_sq[:k], omega_sq_inv=None, config=config)
+    return PosteriorDraws(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
+                          omega_sq_inv=None, config=config)

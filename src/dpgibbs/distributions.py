@@ -5,17 +5,24 @@ Everything here is a pure function of its arguments and an explicit
 draw sequences.  Where possible draws are produced by inverse-CDF so the
 output is a deterministic transform of the uniform stream.
 
+The kernels take plain floats and check them with inline comparisons,
+raising ValueError on bad arguments; a truncation window is the pair
+(lo, hi], either end possibly infinite.  This module owns the
+distribution formulas only: the model's conditionals live in gibbs.py
+and the feasibility windows they truncate to in feasible.py.
+
 The centrepiece is the truncated gamma mixture (TGM), the distribution
 of a gamma-distributed quantity observed through additive two-sided
-exponential noise.  Its mixture weights are computed in log space to
-survive the large ``exp(lam * tau)`` factors that appear in the weight
-formulas.
+exponential noise: shape alpha, central rate beta, noise rate lam and
+observation tau, with alpha > 0 and beta > lam >= 0.  Its mixture
+weights are computed in log space (``_tgm_log_weights``, also used by
+evidence.py) to survive the large ``exp(lam * tau)`` factors that appear
+in the weight formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from numpy.random import Generator
 from scipy import special as sc
@@ -25,74 +32,6 @@ from .errors import SamplingError
 _LOG_EPS = 1e-17  # relative series cutoff for log incomplete-gamma fallbacks
 _TAIL_Z = 6.0  # standardized distance beyond which normal tails use rejection
 _MIN_WINDOW_MASS = 1e-12
-
-
-@dataclass(frozen=True)
-class TgmParams:
-    """Parameters of a truncated gamma mixture.
-
-    alpha: shape, beta: central rate, lam: two-sided exponential noise
-    rate, tau: the noisy observation / truncation point.  Requires
-    alpha > 0 and beta > lam >= 0.
-    """
-
-    alpha: float
-    beta: float
-    lam: float
-    tau: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "lam", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"TgmParams.{name} must be finite")
-        if self.alpha <= 0:
-            raise ValueError("TgmParams.alpha must be positive")
-        if self.lam < 0:
-            raise ValueError("TgmParams.lam must be nonnegative")
-        if self.beta <= self.lam:
-            raise ValueError("TgmParams requires beta > lam")
-
-
-@dataclass(frozen=True)
-class TruncationWindow:
-    """Half-open interval (lower, upper] used to truncate a draw.
-
-    Either endpoint may be infinite.  Gamma-family samplers require
-    lower >= 0.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError("TruncationWindow endpoints must not be NaN")
-        if not self.lower < self.upper:
-            raise ValueError("TruncationWindow requires lower < upper")
-
-
-UNBOUNDED = TruncationWindow(-math.inf, math.inf)
-POSITIVE = TruncationWindow(0.0, math.inf)
-
-
-def reg_inc_gamma(shape: float, x: float, tail: str = "lower") -> float:
-    """Regularized incomplete gamma function.
-
-    Returns gamma(shape, x)/Gamma(shape) for ``tail='lower'`` and
-    Gamma(shape, x)/Gamma(shape) for ``tail='upper'``.  The two tails sum
-    to one.
-    """
-    if not (math.isfinite(shape) and math.isfinite(x)):
-        raise ValueError("reg_inc_gamma requires finite arguments")
-    if shape <= 0:
-        raise ValueError("reg_inc_gamma requires shape > 0")
-    if x < 0:
-        raise ValueError("reg_inc_gamma requires x >= 0")
-    if tail == "lower":
-        return float(sc.gammainc(shape, x))
-    if tail == "upper":
-        return float(sc.gammaincc(shape, x))
-    raise ValueError(f"tail must be 'lower' or 'upper', got {tail!r}")
 
 
 def _log_reg_inc_gamma_lower(a: float, x: float) -> float:
@@ -138,15 +77,23 @@ def _log_reg_inc_gamma_upper(a: float, x: float) -> float:
     return (a - 1.0) * math.log(x) - x + math.log(max(total, _LOG_EPS)) - sc.gammaln(a)
 
 
-def _tgm_log_weights(p: TgmParams, upper: float) -> tuple[float, float]:
+def _check_tgm(alpha: float, beta: float, lam: float, tau: float):
+    if not (0.0 < alpha < math.inf and 0.0 <= lam < beta < math.inf
+            and math.isfinite(tau)):
+        raise ValueError("TGM parameters must be finite with alpha > 0 and "
+                         "beta > lam >= 0")
+
+
+def _tgm_log_weights(alpha: float, beta: float, lam: float, tau: float,
+                     upper: float) -> tuple[float, float]:
     """Unnormalized log mixture weights for the TGM on (0, upper].
 
     Requires 0 < tau < upper.  The second component's mass is restricted
     to (tau, upper].
     """
-    a, lam, tau = p.alpha, p.lam, p.tau
-    lo_rate = p.beta - lam
-    hi_rate = p.beta + lam
+    a = alpha
+    lo_rate = beta - lam
+    hi_rate = beta + lam
     log_w1 = (
         -lam * tau
         + _log_reg_inc_gamma_lower(a, lo_rate * tau)
@@ -167,42 +114,48 @@ def _tgm_log_weights(p: TgmParams, upper: float) -> tuple[float, float]:
     return log_w1, log_w2
 
 
-def tgm_weights(p: TgmParams) -> tuple[float, float]:
+def _first_weight(d: float) -> float:
+    """1 / (1 + e^d): the first component's weight when d = log w2 - log w1."""
+    if d > 0:
+        return math.exp(-math.log1p(math.exp(-d)) - d)
+    return 1.0 / (1.0 + math.exp(d))
+
+
+def tgm_weights(alpha: float, beta: float, lam: float, tau: float) -> tuple[float, float]:
     """Mixture weights (pi1, pi2) of the TGM for tau > 0.
 
     pi1 weighs the rate beta-lam component on (0, tau]; pi2 weighs the
     rate beta+lam component on (tau, inf).  Computed in log space; the
     pair sums to one.
     """
-    if p.tau <= 0:
+    _check_tgm(alpha, beta, lam, tau)
+    if tau <= 0:
         raise ValueError("tgm_weights requires tau > 0; the tau <= 0 case is a plain gamma")
-    log_w1, log_w2 = _tgm_log_weights(p, math.inf)
+    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, math.inf)
     if log_w1 == -math.inf and log_w2 == -math.inf:
-        raise SamplingError("TGM weights underflowed on both components", {"params": p})
-    d = log_w2 - log_w1
-    if d > 0:
-        pi1 = math.exp(-math.log1p(math.exp(-d)) - d)
-    else:
-        pi1 = 1.0 / (1.0 + math.exp(d))
+        raise SamplingError("TGM weights underflowed on both components",
+                            {"params": (alpha, beta, lam, tau)})
+    pi1 = _first_weight(log_w2 - log_w1)
     return pi1, 1.0 - pi1
 
 
-def tgm_pdf(p: TgmParams, x: float) -> float:
+def tgm_pdf(alpha: float, beta: float, lam: float, tau: float, x: float) -> float:
     """Density of the TGM at x > 0."""
+    _check_tgm(alpha, beta, lam, tau)
     if not x > 0:
         raise ValueError("tgm_pdf requires x > 0")
-    a, lam, tau = p.alpha, p.lam, p.tau
+    a = alpha
     if tau <= 0:
-        rate = p.beta + lam
+        rate = beta + lam
         logpdf = a * math.log(rate) - sc.gammaln(a) + (a - 1.0) * math.log(x) - rate * x
         return math.exp(logpdf)
-    pi1, pi2 = tgm_weights(p)
+    pi1, pi2 = tgm_weights(alpha, beta, lam, tau)
     if x <= tau:
-        rate = p.beta - lam
+        rate = beta - lam
         log_norm = sc.gammaln(a) + _log_reg_inc_gamma_lower(a, rate * tau)
         pi = pi1
     else:
-        rate = p.beta + lam
+        rate = beta + lam
         log_norm = sc.gammaln(a) + _log_reg_inc_gamma_upper(a, rate * tau)
         pi = pi2
     if pi == 0.0:
@@ -270,18 +223,19 @@ def _trunc_gamma_left_tail(shape: float, rate: float, lo: float, hi: float,
     )
 
 
-def sample_trunc_gamma(shape: float, rate: float, window: TruncationWindow,
+def sample_trunc_gamma(shape: float, rate: float, lo: float, hi: float,
                        rng: Generator) -> float:
-    """Draw from Gamma(shape, rate) conditioned on the window.
+    """Draw from Gamma(shape, rate) conditioned on (lo, hi], 0 <= lo.
 
     Primary method is inverse-CDF on the regularized incomplete gamma,
     switching between lower- and upper-tail coordinates to keep
     precision; windows carrying less than ~1e-12 of the mass fall back to
     tail-specific rejection samplers.
     """
-    if shape <= 0 or rate <= 0 or not (math.isfinite(shape) and math.isfinite(rate)):
+    if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
         raise ValueError("sample_trunc_gamma requires finite positive shape and rate")
-    lo, hi = window.lower, window.upper
+    if not lo < hi:
+        raise ValueError("truncation window requires lo < hi")
     if lo < 0:
         raise ValueError("gamma truncation window must have lower >= 0")
 
@@ -322,44 +276,41 @@ def sample_trunc_gamma(shape: float, rate: float, window: TruncationWindow,
     return x
 
 
-def sample_tgm(p: TgmParams, window: TruncationWindow, rng: Generator) -> float:
-    """Draw from the TGM restricted to (0, window.upper].
+def sample_tgm(alpha: float, beta: float, lam: float, tau: float, upper: float,
+               rng: Generator) -> float:
+    """Draw from the TGM restricted to (0, upper].
 
     Branches: tau <= 0 gives a (truncated) Gamma(alpha, beta + lam);
     tau >= upper gives Gamma(alpha, beta - lam) truncated to the window;
     otherwise one of the two mixture components is selected by its
     truncation-adjusted weight and drawn from its own window.
     """
-    if window.lower != 0.0:
-        raise ValueError("sample_tgm windows must start at 0")
-    upper = window.upper
+    _check_tgm(alpha, beta, lam, tau)
     if not upper > 0:
-        raise ValueError("sample_tgm requires window.upper > 0")
+        raise ValueError("sample_tgm requires upper > 0")
 
-    if p.tau <= 0:
-        return sample_trunc_gamma(p.alpha, p.beta + p.lam, TruncationWindow(0.0, upper), rng)
-    if p.tau >= upper:
-        return sample_trunc_gamma(p.alpha, p.beta - p.lam, TruncationWindow(0.0, upper), rng)
+    if tau <= 0:
+        return sample_trunc_gamma(alpha, beta + lam, 0.0, upper, rng)
+    if tau >= upper:
+        return sample_trunc_gamma(alpha, beta - lam, 0.0, upper, rng)
 
-    log_w1, log_w2 = _tgm_log_weights(p, upper)
+    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, upper)
     if log_w1 == -math.inf and log_w2 == -math.inf:
         raise SamplingError("TGM window has numerically zero mass",
-                            {"params": p, "upper": upper})
+                            {"params": (alpha, beta, lam, tau), "upper": upper})
     # Component 1 with probability w1/(w1+w2); w2 == 0 forces component 1,
     # mirroring the overflow-to-component-1 convention of the ratio test.
+    # Either infinite d decides without consuming a uniform.
     d = log_w2 - log_w1
     if d == -math.inf:
         take_first = True
     elif d == math.inf:
         take_first = False
     else:
-        pi1 = 1.0 / (1.0 + math.exp(d)) if d <= 0 else math.exp(-math.log1p(math.exp(-d)) - d)
-        take_first = rng.random() <= pi1
+        take_first = rng.random() <= _first_weight(d)
     if take_first:
-        return sample_trunc_gamma(p.alpha, p.beta - p.lam,
-                                  TruncationWindow(0.0, p.tau), rng)
-    return sample_trunc_gamma(p.alpha, p.beta + p.lam,
-                              TruncationWindow(p.tau, upper), rng)
+        return sample_trunc_gamma(alpha, beta - lam, 0.0, tau, rng)
+    return sample_trunc_gamma(alpha, beta + lam, tau, upper, rng)
 
 
 def _trunc_normal_tail(a: float, b: float, rng: Generator, budget: int = 10000) -> float:
@@ -376,9 +327,9 @@ def _trunc_normal_tail(a: float, b: float, rng: Generator, budget: int = 10000) 
                         {"a": a, "b": b, "budget": budget})
 
 
-def sample_trunc_normal(mean: float, sd: float, window: TruncationWindow,
+def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
                         rng: Generator) -> float:
-    """Draw from N(mean, sd^2) conditioned on [window.lower, window.upper].
+    """Draw from N(mean, sd^2) conditioned on [lo, hi].
 
     Inverse-CDF in whichever tail coordinate keeps precision; windows
     lying more than ~6 sd from the mean use a one-sided
@@ -386,7 +337,8 @@ def sample_trunc_normal(mean: float, sd: float, window: TruncationWindow,
     """
     if sd <= 0 or not math.isfinite(sd):
         raise ValueError("sample_trunc_normal requires sd > 0")
-    lo, hi = window.lower, window.upper
+    if not lo < hi:
+        raise ValueError("truncation window requires lo < hi")
     a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
     b = (hi - mean) / sd if math.isfinite(hi) else math.inf
 

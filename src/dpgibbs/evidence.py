@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sc
 
-from .distributions import _log_reg_inc_gamma_lower, _log_reg_inc_gamma_upper
+from .distributions import _tgm_log_weights
 from .errors import NumericalError
 from .feasible import Interval
 
@@ -53,18 +53,7 @@ def likelihood_s2_star(s2_star: float, sigma_sq: float, n: int, eps2: float) -> 
         )
     if s2_star <= 0:
         return 0.5 * lam * math.exp(lam * s2_star + a * math.log(big_b / (big_b + lam)))
-    log_w1 = (
-        -lam * s2_star
-        + _log_reg_inc_gamma_lower(a, (big_b - lam) * s2_star)
-        + sc.gammaln(a)
-        - a * math.log(big_b - lam)
-    )
-    log_w2 = (
-        lam * s2_star
-        + _log_reg_inc_gamma_upper(a, (big_b + lam) * s2_star)
-        + sc.gammaln(a)
-        - a * math.log(big_b + lam)
-    )
+    log_w1, log_w2 = _tgm_log_weights(a, big_b, lam, s2_star, math.inf)
     log_f = (
         math.log(lam / 2.0)
         + a * math.log(big_b)

@@ -6,6 +6,10 @@ must satisfy s_sq <= n/(n-1) ybar (1 - ybar).  The helpers here return
 the conditional intervals in each direction plus the analogous predicate
 system for simple linear regression on unit-interval variables.
 
+This module owns the window on a mean, ``0.5 -+ sqrt(0.25 - v)``
+(mean_window), and the ulp snap that pulls a drawn mean back inside it
+(snap_mean); the constrained samplers in gibbs.py truncate to these.
+
 All intervals are closed and the predicates use exact comparisons with
 no epsilon slack; callers who need numerical slack must apply it
 themselves.
@@ -42,6 +46,27 @@ class RegTheta:
     theta1: float
 
 
+def mean_window(v: float) -> tuple[float, float]:
+    """Means m of [0, 1] data with m (1 - m) >= v, for 0 <= v <= 1/4.
+
+    v is sigma_sq for mu, and (n-1)/n s_sq for ybar.
+    """
+    r = math.sqrt(0.25 - v)
+    return 0.5 - r, 0.5 + r
+
+
+def snap_mean(m: float, v: float, scale: float) -> float:
+    """Pull m toward 1/2 by ulps until v <= scale m (1 - m) holds exactly.
+
+    mean_window goes through a sqrt, so at its edges the product form can
+    disagree by rounding.  scale is 1 for (mu, sigma_sq) and n/(n-1) for
+    (ybar, s_sq).
+    """
+    while v > scale * m * (1.0 - m):
+        m = math.nextafter(m, 0.5)
+    return m
+
+
 def sigma_sq_range_given_mu(mu: float) -> Interval:
     """Feasible sigma_sq for [0, 1] data with mean mu: [0, mu (1 - mu)]."""
     if not 0.0 <= mu <= 1.0:
@@ -53,8 +78,7 @@ def mu_range_given_sigma_sq(sigma_sq: float) -> Interval:
     """Feasible mu for [0, 1] data with variance sigma_sq."""
     if not 0.0 <= sigma_sq <= 0.25:
         raise ValueError(f"sigma_sq must lie in [0, 1/4], got {sigma_sq}")
-    r = math.sqrt(max(0.25 - sigma_sq, 0.0))
-    return Interval(0.5 - r, 0.5 + r)
+    return Interval(*mean_window(sigma_sq))
 
 
 def s_sq_range_given_ybar(ybar: float, n: int) -> Interval:
@@ -75,8 +99,7 @@ def ybar_range_given_s_sq(s_sq: float, n: int) -> Interval:
     scaled = (n - 1.0) / n * s_sq
     if scaled > 0.25:
         raise ValueError(f"s_sq = {s_sq} is infeasible for n = {n}")
-    r = math.sqrt(max(0.25 - scaled, 0.0))
-    return Interval(0.5 - r, 0.5 + r)
+    return Interval(*mean_window(scaled))
 
 
 def pair_feasible(mu: float, sigma_sq: float) -> bool:

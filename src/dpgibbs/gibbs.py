@@ -18,6 +18,12 @@ conditionals are
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
 
 Per-sweep cost does not depend on n.
+
+This module owns the mu and sigma_sq conditionals (draw_mu,
+draw_sigma_sq), which the latent-value sampler in augmented.py shares;
+only the collapsed sampler adds the TGM precision floor and cap on
+sigma_sq.  The feasibility windows come from feasible.py and the
+variate kernels from distributions.py.
 """
 
 from __future__ import annotations
@@ -30,14 +36,13 @@ import numpy as np
 from numpy.random import Generator
 
 from .distributions import (
-    TgmParams,
-    TruncationWindow,
     sample_inverse_gaussian,
     sample_tgm,
     sample_trunc_gamma,
     sample_trunc_normal,
 )
 from .errors import ConfigurationError
+from .feasible import mean_window, snap_mean
 from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
@@ -141,6 +146,11 @@ class SamplerConfig:
     def effective_burn_in(self) -> int:
         return self.burn_in if self.burn_in is not None else self.iters // 10
 
+    @property
+    def kept(self) -> range:
+        """Iterations whose state is stored: every thin-th after burn-in."""
+        return range(self.effective_burn_in, self.iters, self.thin)
+
 
 @dataclass(frozen=True)
 class PosteriorDraws:
@@ -170,6 +180,22 @@ def _require_tgm_valid(release_unit: PrivateRelease, force_sigma_constraint: boo
     )
 
 
+def unit_inputs(release: PrivateRelease, prior: PriorSpec
+                ) -> tuple[PrivateRelease, PriorSpec]:
+    """The release and prior on the [0, 1] scale, checking n for the flat prior."""
+    release_unit = release.to_unit()
+    prior_unit = prior.to_unit(release.bounds)
+    if prior_unit.kind == "flat" and release.n < 3:
+        raise ConfigurationError("the flat prior needs n >= 3")
+    return release_unit, prior_unit
+
+
+def clamped_release(release_unit: PrivateRelease) -> tuple[float, float]:
+    """Released (mean, variance) clamped to [0, 1] and [1e-4, 1/4]."""
+    return (min(max(release_unit.ybar_star, 0.0), 1.0),
+            min(max(release_unit.s_sq_star, _SIGMA_SQ_FLOOR), 0.25))
+
+
 def init_state(release_unit: PrivateRelease, config: SamplerConfig) -> GibbsState:
     """Starting point of the chain, from a [0, 1]-scale release.
 
@@ -181,8 +207,7 @@ def init_state(release_unit: PrivateRelease, config: SamplerConfig) -> GibbsStat
         raise ValueError("init_state expects a release on the [0, 1] scale")
     if config.init is not None:
         return GibbsState(**vars(config.init))
-    s = min(max(release_unit.s_sq_star, _SIGMA_SQ_FLOOR), 0.25)
-    ybar = min(max(release_unit.ybar_star, 0.0), 1.0)
+    ybar, s = clamped_release(release_unit)
     n = release_unit.n
     eps1 = release_unit.budget.eps1
     return GibbsState(
@@ -194,55 +219,37 @@ def init_state(release_unit: PrivateRelease, config: SamplerConfig) -> GibbsStat
     )
 
 
-def _snap_mu(mu: float, sigma_sq: float) -> float:
-    # Pull mu toward 1/2 by ulps until sigma_sq <= mu(1-mu) holds exactly;
-    # the truncation window was computed through a sqrt, so the product
-    # form can disagree by rounding at the boundary.
-    while sigma_sq > mu * (1.0 - mu):
-        mu = math.nextafter(mu, 0.5)
-    return mu
+def draw_mu(ybar: float, sigma_sq: float, n: int, prior: PriorSpec,
+            constrained: bool, rng: Generator) -> float:
+    """mu | ybar, sigma_sq: normal, truncated to mean_window(sigma_sq) if constrained.
 
-
-def _snap_ybar(ybar: float, s_sq: float, n: int) -> float:
-    limit = n / (n - 1.0)
-    while s_sq > limit * ybar * (1.0 - ybar):
-        ybar = math.nextafter(ybar, 0.5)
-    return ybar
-
-
-def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
-               mode: ConstraintMode, rng: Generator) -> GibbsState:
-    """One full sweep in the order mu, sigma_sq, ybar, s_sq, omega_sq_inv."""
-    n = release_unit.n
-    eps1 = release_unit.budget.eps1
-    eps2 = release_unit.budget.eps2
-    ybar_star = release_unit.ybar_star
-    s_sq_star = release_unit.s_sq_star
-    constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
-
-    sigma_sq = state.sigma_sq
-    ybar = state.ybar
-    s_sq = state.s_sq
-    omega_sq_inv = state.omega_sq_inv
-
-    # --- mu ---
+    At sigma_sq >= 1/4 the window is the single point 1/2, which is
+    returned without consuming a draw.
+    """
     if prior.kind == "flat":
-        mu_mean = ybar
-        mu_sd = math.sqrt(sigma_sq / n)
+        mean = ybar
+        sd = math.sqrt(sigma_sq / n)
     else:
-        mu_mean = (n * ybar + prior.kappa0 * prior.mu0) / (n + prior.kappa0)
-        mu_sd = math.sqrt(sigma_sq / (n + prior.kappa0))
+        mean = (n * ybar + prior.kappa0 * prior.mu0) / (n + prior.kappa0)
+        sd = math.sqrt(sigma_sq / (n + prior.kappa0))
     if not constrained:
-        mu = mu_mean + mu_sd * rng.standard_normal()
-    elif sigma_sq >= 0.25:
-        mu = 0.5
-    else:
-        r = math.sqrt(0.25 - sigma_sq)
-        mu = sample_trunc_normal(mu_mean, mu_sd,
-                                 TruncationWindow(0.5 - r, 0.5 + r), rng)
-        mu = _snap_mu(mu, sigma_sq)
+        return mean + sd * rng.standard_normal()
+    if sigma_sq >= 0.25:
+        return 0.5
+    lo, hi = mean_window(sigma_sq)
+    return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), sigma_sq, 1.0)
 
-    # --- sigma_sq (drawn as a lower-truncated gamma on 1/sigma_sq) ---
+
+def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
+                  constrained: bool, tgm_lam: float | None, rng: Generator) -> float:
+    """sigma_sq | mu, ybar, s_sq: inverse gamma, drawn as a gamma on 1/sigma_sq.
+
+    Constrained mode truncates to sigma_sq <= mu (1 - mu).  tgm_lam is the
+    collapsed sampler's TGM noise rate eps2 n: the precision is floored at
+    2 tgm_lam/(n-1) and sigma_sq kept below (n-1)/(2 tgm_lam), so that the
+    s_sq conditional's rate (n-1)/(2 sigma_sq) exceeds tgm_lam.  The
+    latent-value sampler passes None.
+    """
     if prior.kind == "flat":
         shape = (n - 2.0) / 2.0
         rate = ((n - 1.0) * s_sq + n * (ybar - mu) ** 2) / 2.0
@@ -250,45 +257,53 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
         shape = (n + prior.nu0) / 2.0
         rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq
                 + n * (ybar - mu) ** 2) / 2.0
-    prec_lo = 2.0 * eps2 * n / (n - 1.0)
+    prec_floor = 0.0 if tgm_lam is None else 2.0 * tgm_lam / (n - 1.0)
     if constrained:
-        prec_lo = max(prec_lo, 1.0 / (mu * (1.0 - mu)))
-    g = sample_trunc_gamma(shape, rate, TruncationWindow(prec_lo, math.inf), rng)
-    if g <= prec_lo:
-        g = math.nextafter(prec_lo, math.inf)
-    sigma_sq = 1.0 / g
+        prec_floor = max(prec_floor, 1.0 / (mu * (1.0 - mu)))
+    sigma_sq = 1.0 / sample_trunc_gamma(shape, rate, prec_floor, math.inf, rng)
     if constrained:
-        cap = mu * (1.0 - mu)
-        while sigma_sq > cap:
+        sigma_sq = min(sigma_sq, mu * (1.0 - mu))
+    if tgm_lam is not None:
+        sigma_sq = min(sigma_sq, math.nextafter((n - 1.0) / (2.0 * tgm_lam), 0.0))
+        # Rounding can leave the rate equal to tgm_lam one ulp below the cap.
+        while (n - 1.0) / (2.0 * sigma_sq) <= tgm_lam:
             sigma_sq = math.nextafter(sigma_sq, 0.0)
-    cap = (n - 1.0) / (2.0 * n * eps2)
-    while sigma_sq >= cap:
-        sigma_sq = math.nextafter(sigma_sq, 0.0)
+    return sigma_sq
 
-    # --- ybar ---
+
+def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float,
+              ybar_star: float, n: int, constrained: bool, rng: Generator) -> float:
+    """ybar | rest: normal, truncated to mean_window((n-1)/n s_sq) if constrained."""
     prec = omega_sq_inv + n / sigma_sq
-    yb_mean = (ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec
-    yb_sd = math.sqrt(1.0 / prec)
+    mean = (ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec
+    sd = math.sqrt(1.0 / prec)
     if not constrained:
-        ybar = yb_mean + yb_sd * rng.standard_normal()
-    else:
-        scaled = (n - 1.0) / n * s_sq
-        if scaled >= 0.25:
-            ybar = 0.5
-        else:
-            r = math.sqrt(0.25 - scaled)
-            ybar = sample_trunc_normal(yb_mean, yb_sd,
-                                       TruncationWindow(0.5 - r, 0.5 + r), rng)
-            ybar = _snap_ybar(ybar, s_sq, n)
+        return mean + sd * rng.standard_normal()
+    scaled = (n - 1.0) / n * s_sq
+    if scaled >= 0.25:
+        return 0.5
+    lo, hi = mean_window(scaled)
+    return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), s_sq, n / (n - 1.0))
+
+
+def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
+               mode: ConstraintMode, rng: Generator) -> GibbsState:
+    """One full sweep in the order mu, sigma_sq, ybar, s_sq, omega_sq_inv."""
+    n = release_unit.n
+    eps1 = release_unit.budget.eps1
+    lam = release_unit.budget.eps2 * n
+    ybar_star = release_unit.ybar_star
+    constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+
+    mu = draw_mu(state.ybar, state.sigma_sq, n, prior, constrained, rng)
+    sigma_sq = draw_sigma_sq(mu, state.ybar, state.s_sq, n, prior, constrained, lam, rng)
+    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv, ybar_star, n,
+                     constrained, rng)
 
     # --- s_sq ---
-    tgm = TgmParams(alpha=(n - 1.0) / 2.0, beta=(n - 1.0) / (2.0 * sigma_sq),
-                    lam=eps2 * n, tau=s_sq_star)
-    if constrained:
-        upper = n / (n - 1.0) * ybar * (1.0 - ybar)
-    else:
-        upper = math.inf
-    s_sq = sample_tgm(tgm, TruncationWindow(0.0, upper), rng)
+    upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
+    s_sq = sample_tgm((n - 1.0) / 2.0, (n - 1.0) / (2.0 * sigma_sq), lam,
+                      release_unit.s_sq_star, upper, rng)
 
     # --- omega_sq_inv ---
     diff = abs(ybar_star - ybar)
@@ -309,35 +324,30 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
     scale; both are mapped to [0, 1] here and the draws stay on that
     scale.
     """
-    release_unit = release.to_unit()
-    prior_unit = prior.to_unit(release.bounds)
-    if prior_unit.kind == "flat" and release.n < 3:
-        raise ConfigurationError("the flat prior needs n >= 3")
+    release_unit, prior_unit = unit_inputs(release, prior)
     _require_tgm_valid(release_unit, force_sigma_constraint)
 
     rng = np.random.default_rng(config.seed)
     state = init_state(release_unit, config)
-    burn_in = config.effective_burn_in
-    kept = (config.iters - burn_in + config.thin - 1) // config.thin
-    mu = np.empty(kept)
-    sigma_sq = np.empty(kept)
-    ybar = np.empty(kept)
-    s_sq = np.empty(kept)
-    omega_sq_inv = np.empty(kept)
+    kept = config.kept
+    mu = np.empty(len(kept))
+    sigma_sq = np.empty(len(kept))
+    ybar = np.empty(len(kept))
+    s_sq = np.empty(len(kept))
+    omega_sq_inv = np.empty(len(kept))
 
     k = 0
     for t in range(config.iters):
         state = gibbs_step(state, release_unit, prior_unit, mode, rng)
-        if t >= burn_in and (t - burn_in) % config.thin == 0:
+        if t in kept:
             mu[k] = state.mu
             sigma_sq[k] = state.sigma_sq
             ybar[k] = state.ybar
             s_sq[k] = state.s_sq
             omega_sq_inv[k] = state.omega_sq_inv
             k += 1
-    return PosteriorDraws(mu=mu[:k], sigma_sq=sigma_sq[:k], ybar=ybar[:k],
-                          s_sq=s_sq[:k], omega_sq_inv=omega_sq_inv[:k],
-                          config=config)
+    return PosteriorDraws(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
+                          omega_sq_inv=omega_sq_inv, config=config)
 
 
 def predictive_draws(draws: PosteriorDraws, mode: PredictiveMode, bounds: Bounds,
@@ -355,8 +365,7 @@ def predictive_draws(draws: PosteriorDraws, mode: PredictiveMode, bounds: Bounds
     if mode is PredictiveMode.TRUNCATED_PER_DRAW:
         out = np.empty(mu.size)
         for i in range(mu.size):
-            out[i] = sample_trunc_normal(float(mu[i]), float(sd[i]),
-                                         TruncationWindow(0.0, 1.0), rng)
+            out[i] = sample_trunc_normal(float(mu[i]), float(sd[i]), 0.0, 1.0, rng)
     else:
         out = mu + sd * rng.standard_normal(mu.size)
         if mode is PredictiveMode.CLIP_AD_HOC:

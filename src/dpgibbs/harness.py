@@ -20,7 +20,7 @@ from numpy.random import Generator
 from scipy import special as sc
 
 from .augmented import run_augmented_chain
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DpGibbsError
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .release import UNIT, Budget, GaussianSummary, release
 from .summary import CoverageRecord, coverage_aggregate, hpd_interval, kde_mode
@@ -93,20 +93,13 @@ def _one_rep(scenario: Scenario, rep: int) -> CoverageRecord | None:
         interval = hpd_interval(draws.mu, 0.95)
         point = kde_mode(draws.mu)
         return CoverageRecord(interval=interval, point=point, truth=scenario.truth_mu)
-    except Exception:
+    except DpGibbsError:
         return None
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """All replications of one scenario, sequentially."""
-    records = []
-    errors = 0
-    for r in range(scenario.reps):
-        rec = _one_rep(scenario, r)
-        if rec is None:
-            errors += 1
-        else:
-            records.append(rec)
+def _aggregate(scenario: Scenario, recs: list[CoverageRecord | None]) -> ScenarioResult:
+    """Summarize one scenario's replications; None marks a failed one."""
+    records = [rec for rec in recs if rec is not None]
     if not records:
         raise ConfigurationError("every replication of the scenario failed")
     agg = coverage_aggregate(records)
@@ -116,8 +109,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         coverage_se=math.sqrt(0.95 * 0.05 / scenario.reps),
         avg_len=agg["avg_len"],
         rmse=agg["rmse"],
-        errors=errors,
+        errors=len(recs) - len(records),
     )
+
+
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """All replications of one scenario, sequentially."""
+    return _aggregate(scenario, [_one_rep(scenario, r) for r in range(scenario.reps)])
 
 
 def _grid_task(args):
@@ -151,16 +149,11 @@ def run_grid(scenarios, parallelism: int = 1) -> str:
     out.write("# format_version=1\n")
     out.write(RESULT_HEADER + "\n")
     for i, s in enumerate(scenarios):
-        recs = [per_scenario[i][r] for r in range(s.reps)]
-        good = [rec for rec in recs if rec is not None]
-        errors = sum(rec is None for rec in recs)
-        agg = coverage_aggregate(good)
-        se = math.sqrt(0.95 * 0.05 / s.reps)
-        prior_name = s.prior.kind
+        res = _aggregate(s, [per_scenario[i][r] for r in range(s.reps)])
         row = (
-            f"{s.n},{s.eps1 + s.eps2:.17g},{s.mode},{prior_name},"
-            f"{s.truth_mu:.17g},{agg['coverage']:.17g},{se:.17g},"
-            f"{agg['avg_len']:.17g},{agg['rmse']:.17g},{errors}"
+            f"{s.n},{s.eps1 + s.eps2:.17g},{s.mode},{s.prior.kind},"
+            f"{s.truth_mu:.17g},{res.coverage:.17g},{res.coverage_se:.17g},"
+            f"{res.avg_len:.17g},{res.rmse:.17g},{res.errors}"
         )
         out.write(row + "\n")
     return out.getvalue()

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from .distributions import (
-    TruncationWindow,
-    sample_inverse_gaussian,
-    sample_laplace,
-    sample_trunc_gamma,
-)
+from .distributions import sample_inverse_gaussian, sample_laplace, sample_trunc_gamma
 from .errors import StuckChainError, ValidationError
 from .feasible import RegTheta, regression_stats_feasible, regression_theta_feasible
 from .gibbs import SamplerConfig
@@ -306,12 +301,11 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     sigma_sq = min(priors.b0, 0.25) if constrained else priors.b0
     omega_inv = np.full(p, eps_q * eps_q / 2.0)
 
-    burn_in = config.effective_burn_in
-    kept = (config.iters - burn_in + config.thin - 1) // config.thin
-    out_t0 = np.empty(kept)
-    out_t1 = np.empty(kept)
-    out_s2 = np.empty(kept)
-    out_stats = np.empty((kept, p))
+    kept = config.kept
+    out_t0 = np.empty(len(kept))
+    out_t1 = np.empty(len(kept))
+    out_s2 = np.empty(len(kept))
+    out_stats = np.empty((len(kept), p))
     warnings = {"lambda_psd_projected": 0, "b_n_clamped": 0}
 
     k = 0
@@ -373,15 +367,11 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
             warnings["b_n_clamped"] += 1
         chol_theta = _cholesky_jittered(_spd_inverse(lambda_n))
         if not constrained:
-            g = sample_trunc_gamma(a_n, b_n, TruncationWindow(0.0, math.inf), rng)
-            sigma_sq = 1.0 / g
+            sigma_sq = 1.0 / sample_trunc_gamma(a_n, b_n, 0.0, math.inf, rng)
             theta = mu_n + math.sqrt(sigma_sq) * (chol_theta @ rng.standard_normal(2))
         else:
             for attempt in range(_REJECTION_CAP):
-                g = sample_trunc_gamma(a_n, b_n, TruncationWindow(4.0, math.inf), rng)
-                if g <= 4.0:
-                    g = math.nextafter(4.0, math.inf)
-                sigma_sq = 1.0 / g
+                sigma_sq = 1.0 / sample_trunc_gamma(a_n, b_n, 4.0, math.inf, rng)
                 theta = mu_n + math.sqrt(sigma_sq) * (chol_theta @ rng.standard_normal(2))
                 if regression_theta_feasible(RegTheta(float(theta[0]), float(theta[1]))):
                     break
@@ -398,12 +388,12 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
                 diff = 1e-12
             omega_inv[j] = sample_inverse_gaussian(eps_q / diff, eps_q * eps_q, rng)
 
-        if t >= burn_in and (t - burn_in) % config.thin == 0:
+        if t in kept:
             out_t0[k] = theta[0]
             out_t1[k] = theta[1]
             out_s2[k] = sigma_sq
             out_stats[k] = stats
             k += 1
 
-    return RegressionDraws(theta0=out_t0[:k], theta1=out_t1[:k], sigma_sq=out_s2[:k],
-                           stats=out_stats[:k], config=config, warnings=warnings)
+    return RegressionDraws(theta0=out_t0, theta1=out_t1, sigma_sq=out_s2,
+                           stats=out_stats, config=config, warnings=warnings)

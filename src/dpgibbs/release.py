@@ -205,12 +205,3 @@ def release(summary: GaussianSummary, bounds: Bounds, budget: Budget,
     )
     return from_unit_release(unit_release, bounds)
 
-
-def compose(budgets) -> float:
-    """Total privacy cost of sequentially composed pure-epsilon releases."""
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("compose requires at least one budget")
-    if any(b <= 0 for b in budgets):
-        raise ValueError("all budgets must be positive")
-    return float(sum(budgets))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from .distributions import TgmParams, TruncationWindow, sample_tgm
+from .distributions import sample_tgm
 from .evidence import (
     flat_evidence_quadrature,
     jeffreys_divergence_scan,
@@ -113,26 +113,24 @@ def check_tgm_lambda0(draws: int = 100_000, seed: int = 515) -> list[dict]:
     """With lam = 0 the TGM is a plain gamma."""
     rng = np.random.default_rng(seed)
     alpha, beta = 3.0, 2.0
-    p = TgmParams(alpha=alpha, beta=beta, lam=0.0, tau=0.7)
-    x = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+    x = np.array([sample_tgm(alpha, beta, 0.0, 0.7, math.inf, rng)
                   for _ in range(draws)])
     ks = ks_distance(x, _gamma_cdf(alpha, beta))
     return [{"name": "tgm_lambda0_collapse", "rel_err": ks, "passed": bool(ks < 0.01)}]
 
 
-def check_tgm_posterior_oracle(draws: int = 150_000, seed: int = 99,
-                               params: TgmParams | None = None) -> list[dict]:
+def check_tgm_posterior_oracle(draws: int = 150_000, seed: int = 99) -> list[dict]:
     """TGM draws match the gamma-prior/Laplace-noise posterior they represent.
 
     Importance sampling: gamma draws weighted by the Laplace likelihood
     of the observation form a weighted ECDF that the sampler must track.
     """
-    p = params or TgmParams(alpha=2.0, beta=2.0, lam=1.0, tau=1.0)
+    alpha, beta, lam, tau = 2.0, 2.0, 1.0, 1.0
     rng = np.random.default_rng(seed)
-    x = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+    x = np.array([sample_tgm(alpha, beta, lam, tau, math.inf, rng)
                   for _ in range(draws)])
-    prior = rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=draws)
-    logw = -p.lam * np.abs(p.tau - prior)
+    prior = rng.gamma(shape=alpha, scale=1.0 / beta, size=draws)
+    logw = -lam * np.abs(tau - prior)
     w = np.exp(logw - logw.max())
     sup = weighted_ecdf_sup_distance(x, prior, w)
     return [{"name": "tgm_importance_oracle", "rel_err": sup,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as sc
 
-from dpgibbs.distributions import TgmParams, tgm_pdf
+from dpgibbs.distributions import tgm_pdf
 
 
 def simpson_cdf_of_pdf(pdf, lo: float, hi: float, n_points: int = 20001,
@@ -36,25 +36,26 @@ def simpson_cdf_of_pdf(pdf, lo: float, hi: float, n_points: int = 20001,
     return grid, cdf
 
 
-def tgm_quadrature_cdf(params: TgmParams, hi: float | None = None):
-    """CDF oracle for the TGM from Simpson quadrature of its density.
+def tgm_quadrature_cdf(params: tuple[float, float, float, float],
+                       hi: float | None = None):
+    """CDF oracle for the TGM (alpha, beta, lam, tau) from Simpson quadrature.
 
     The density carries an x^(alpha-1) endpoint factor, so the piece that
     touches zero is integrated in u = x^alpha coordinates, where the
     transformed integrand is bounded; the remaining piece (and the kink at
     tau) is handled by splitting the grid there.
     """
-    a = params.alpha
+    a, beta, lam, tau = params
     if hi is None:
-        mean_hint = params.alpha / (params.beta - params.lam)
-        hi = max(mean_hint * 12.0, params.tau * 3.0, 2.0)
-    split = params.tau if 0.0 < params.tau < hi else hi / 2.0
+        mean_hint = a / (beta - lam)
+        hi = max(mean_hint * 12.0, tau * 3.0, 2.0)
+    split = tau if 0.0 < tau < hi else hi / 2.0
 
     def transformed_piece(x_hi, n_points=20001):
         u = np.linspace(0.0, x_hi ** a, n_points)
         x = u ** (1.0 / a)
         g = np.zeros(n_points)
-        g[1:] = np.array([tgm_pdf(params, float(v)) for v in x[1:]]) \
+        g[1:] = np.array([tgm_pdf(*params, float(v)) for v in x[1:]]) \
             * x[1:] ** (1.0 - a) / a
         g[0] = g[1]  # bounded limit at the endpoint
         h = u[1] - u[0]
@@ -65,7 +66,7 @@ def tgm_quadrature_cdf(params: TgmParams, hi: float | None = None):
         return x, cdf
 
     x1, c1 = transformed_piece(split)
-    x2, c2 = simpson_cdf_of_pdf(lambda x: tgm_pdf(params, x), split, hi,
+    x2, c2 = simpson_cdf_of_pdf(lambda x: tgm_pdf(*params, x), split, hi,
                                 normalize=False)
     grid = np.concatenate([x1, x2[1:]])
     cdf = np.concatenate([c1, c1[-1] + c2[1:]])

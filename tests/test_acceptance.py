@@ -48,7 +48,7 @@ from dpgibbs.validation import (
     ks_distance,
     weighted_ecdf_sup_distance,
 )
-from dpgibbs.distributions import TgmParams, TruncationWindow, sample_tgm
+from dpgibbs.distributions import sample_tgm
 from oracles import beta22_cdf, flat_posterior_grid_oracle, tgm_quadrature_cdf
 
 pytestmark = pytest.mark.acceptance
@@ -83,10 +83,9 @@ def test_criterion_01_tgm_sampler_matches_quadrature_cdf():
     failures = []
     rng = np.random.default_rng(101)
     for params in ((2.0, 2.0, 1.0, 1.0), (5.0, 3.0, 2.0, 0.5), (0.5, 1.0, 0.3, 2.0)):
-        p = TgmParams(*params)
-        draws = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+        draws = np.array([sample_tgm(*params, math.inf, rng)
                           for _ in range(200_000)])
-        ks = ks_distance(draws, tgm_quadrature_cdf(p))
+        ks = ks_distance(draws, tgm_quadrature_cdf(params))
         ok = report(1, ks < 0.01, f"TGM{params} KS = {ks:.4f} < 0.01")
         if not ok:
             failures.append(params)
@@ -97,19 +96,18 @@ def test_criterion_01_tgm_sampler_matches_quadrature_cdf():
 def test_criterion_02_tgm_collapse_and_posterior_oracle():
     t0 = time.time()
     rng = np.random.default_rng(202)
-    p0 = TgmParams(2.0, 2.0, 0.0, 0.7)
-    draws = np.array([sample_tgm(p0, TruncationWindow(0.0, math.inf), rng)
+    draws = np.array([sample_tgm(2.0, 2.0, 0.0, 0.7, math.inf, rng)
                       for _ in range(100_000)])
     from oracles import gamma_cdf
 
     ks = ks_distance(draws, gamma_cdf(2.0, 2.0))
     ok1 = report(2, ks < 0.01, f"lambda=0 collapse KS = {ks:.4f} < 0.01")
 
-    p = TgmParams(2.0, 2.0, 1.0, 1.0)
-    x = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+    alpha, beta, lam, tau = 2.0, 2.0, 1.0, 1.0
+    x = np.array([sample_tgm(alpha, beta, lam, tau, math.inf, rng)
                   for _ in range(150_000)])
-    prior = rng.gamma(shape=p.alpha, scale=1.0 / p.beta, size=200_000)
-    w = np.exp(-p.lam * np.abs(p.tau - prior))
+    prior = rng.gamma(shape=alpha, scale=1.0 / beta, size=200_000)
+    w = np.exp(-lam * np.abs(tau - prior))
     sup = weighted_ecdf_sup_distance(x, prior, w)
     ok2 = report(2, sup < 0.02, f"importance-sampling oracle sup = {sup:.4f} < 0.02")
     report(2, time.time() - t0 < 60.0, f"runtime {time.time() - t0:.1f}s < 60s")

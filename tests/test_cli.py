@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import dpgibbs.harness as harness
 from dpgibbs.cli import main
+from dpgibbs.errors import SamplingError
 
 DATA_LINES = "value\n" + "\n".join(
     f"{v:.4f}" for v in np.clip(np.random.default_rng(0).normal(32, 17, 43), 0.5, 99.5)
@@ -155,6 +157,18 @@ class TestSimulate:
         grid = self.grid_file(tmp_path, [])
         assert run_cli(["simulate", "--grid", grid,
                         "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_all_failed_scenario_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing_chain(*args, **kwargs):
+            raise SamplingError("no draw")
+
+        monkeypatch.setattr(harness, "run_chain", failing_chain)
+        grid = self.grid_file(tmp_path, [self.scenario_dict()])
+        assert run_cli(["simulate", "--grid", grid,
+                        "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "every replication of the scenario failed" in err
+        assert "Traceback" not in err
 
     def test_fig2_preset_loads(self):
         from importlib import resources

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgibbs.distributions import (
-    TgmParams,
-    TruncationWindow,
-    reg_inc_gamma,
+    _log_reg_inc_gamma_lower,
+    _log_reg_inc_gamma_upper,
     sample_inverse_gaussian,
     sample_laplace,
     sample_tgm,
@@ -18,6 +17,7 @@ from dpgibbs.distributions import (
     tgm_weights,
 )
 from dpgibbs.errors import SamplingError
+from scipy.special import gammainc
 from dpgibbs.validation import ks_distance
 from oracles import gamma_cdf
 
@@ -28,103 +28,96 @@ PI1_2211 = _W1_EXPECTED / (_W1_EXPECTED + _W2_EXPECTED)
 
 
 class TestRegIncGamma:
+    """The log-space regularized incomplete gamma behind the TGM weights."""
+
     def test_shape_one_closed_form(self):
-        assert reg_inc_gamma(1.0, 1.0, "lower") == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert math.exp(_log_reg_inc_gamma_lower(1.0, 1.0)) == \
+            pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_shape_two_closed_form(self):
-        assert reg_inc_gamma(2.0, 1.0, "lower") == pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-12)
+        assert math.exp(_log_reg_inc_gamma_lower(2.0, 1.0)) == \
+            pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_zero_argument(self):
         for a in (0.3, 1.0, 7.5):
-            assert reg_inc_gamma(a, 0.0, "lower") == 0.0
-            assert reg_inc_gamma(a, 0.0, "upper") == 1.0
+            assert _log_reg_inc_gamma_lower(a, 0.0) == -math.inf
+            assert _log_reg_inc_gamma_upper(a, 0.0) == 0.0
 
     @given(st.floats(0.05, 50.0), st.floats(0.0, 80.0))
     @settings(max_examples=200, deadline=None)
     def test_tails_sum_to_one(self, shape, x):
-        total = reg_inc_gamma(shape, x, "lower") + reg_inc_gamma(shape, x, "upper")
+        total = (math.exp(_log_reg_inc_gamma_lower(shape, x))
+                 + math.exp(_log_reg_inc_gamma_upper(shape, x)))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            reg_inc_gamma(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_gamma(1.0, -0.5)
-        with pytest.raises(ValueError):
-            reg_inc_gamma(1.0, math.inf)
-        with pytest.raises(ValueError):
-            reg_inc_gamma(1.0, 1.0, tail="middle")
 
 
 class TestTgmParams:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            TgmParams(alpha=0.0, beta=2.0, lam=1.0, tau=0.5)
+            tgm_weights(0.0, 2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            TgmParams(alpha=1.0, beta=1.0, lam=1.0, tau=0.5)  # beta == lam
+            tgm_weights(1.0, 1.0, 1.0, 0.5)  # beta == lam
         with pytest.raises(ValueError):
-            TgmParams(alpha=1.0, beta=1.0, lam=-0.1, tau=0.5)
-        TgmParams(alpha=1.0, beta=1.0, lam=0.0, tau=-2.0)  # valid
+            tgm_weights(1.0, 1.0, -0.1, 0.5)
+        tgm_pdf(1.0, 1.0, 0.0, -2.0, 1.0)  # valid
 
-    def test_window_invariants(self):
+    def test_window_invariants(self, rng):
         with pytest.raises(ValueError):
-            TruncationWindow(1.0, 1.0)
+            sample_trunc_gamma(2.0, 1.0, 1.0, 1.0, rng)
         with pytest.raises(ValueError):
-            TruncationWindow(2.0, 1.0)
+            sample_trunc_normal(0.0, 1.0, 2.0, 1.0, rng)
+        with pytest.raises(ValueError):
+            sample_trunc_normal(0.0, 1.0, math.nan, 1.0, rng)
 
 
 class TestTgmWeights:
     def test_reference_point(self):
-        pi1, pi2 = tgm_weights(TgmParams(2.0, 2.0, 1.0, 1.0))
+        pi1, pi2 = tgm_weights(2.0, 2.0, 1.0, 1.0)
         assert pi1 == pytest.approx(PI1_2211, abs=1e-10)
         assert round(pi1, 3) == 0.618
 
     def test_weights_sum_to_one(self):
-        pi1, pi2 = tgm_weights(TgmParams(5.0, 3.0, 2.0, 0.5))
+        pi1, pi2 = tgm_weights(5.0, 3.0, 2.0, 0.5)
         assert pi1 + pi2 == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_zero_collapse(self):
         alpha, beta, tau = 3.0, 2.0, 0.8
-        pi1, _ = tgm_weights(TgmParams(alpha, beta, 0.0, tau))
-        assert pi1 == pytest.approx(reg_inc_gamma(alpha, beta * tau, "lower"), abs=1e-12)
+        pi1, _ = tgm_weights(alpha, beta, 0.0, tau)
+        assert pi1 == pytest.approx(gammainc(alpha, beta * tau), abs=1e-12)
 
     def test_huge_tau_selects_first_component(self):
-        pi1, _ = tgm_weights(TgmParams(1.0, 2.0, 1.0, 1e6))
+        pi1, _ = tgm_weights(1.0, 2.0, 1.0, 1e6)
         assert pi1 == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_positive_tau(self):
         with pytest.raises(ValueError):
-            tgm_weights(TgmParams(2.0, 2.0, 1.0, 0.0))
+            tgm_weights(2.0, 2.0, 1.0, 0.0)
 
     @given(st.floats(0.2, 30.0), st.floats(0.5, 20.0), st.floats(0.0, 0.95),
            st.floats(0.01, 10.0))
     @settings(max_examples=150, deadline=None)
     def test_weights_sum_property(self, alpha, beta, lam_frac, tau):
-        p = TgmParams(alpha, beta, lam_frac * beta, tau)
-        pi1, pi2 = tgm_weights(p)
+        pi1, pi2 = tgm_weights(alpha, beta, lam_frac * beta, tau)
         assert 0.0 <= pi1 <= 1.0
         assert pi1 + pi2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTgmPdf:
     def test_continuity_at_tau(self):
-        p = TgmParams(2.0, 2.0, 1.0, 1.0)
-        below = tgm_pdf(p, 1.0 - 1e-12)
-        above = tgm_pdf(p, 1.0 + 1e-12)
+        below = tgm_pdf(2.0, 2.0, 1.0, 1.0, 1.0 - 1e-12)
+        above = tgm_pdf(2.0, 2.0, 1.0, 1.0, 1.0 + 1e-12)
         assert below == pytest.approx(above, abs=1e-10)
 
     def test_lambda_zero_is_gamma(self):
-        p = TgmParams(2.5, 3.0, 0.0, 0.6)
         for x in (0.1, 0.5, 1.2, 4.0):
             gamma_pdf = (3.0 ** 2.5 / math.gamma(2.5)) * x ** 1.5 * math.exp(-3.0 * x)
-            assert tgm_pdf(p, x) == pytest.approx(gamma_pdf, rel=1e-12)
+            assert tgm_pdf(2.5, 3.0, 0.0, 0.6, x) == pytest.approx(gamma_pdf, rel=1e-12)
 
     def test_negative_tau_is_gamma_with_summed_rate(self):
-        p = TgmParams(2.0, 2.0, 1.0, -1.0)
         rate = 3.0
         for x in (0.2, 1.0, 2.5):
             gamma_pdf = rate ** 2 * x * math.exp(-rate * x)
-            assert tgm_pdf(p, x) == pytest.approx(gamma_pdf, rel=1e-12)
+            assert tgm_pdf(2.0, 2.0, 1.0, -1.0, x) == pytest.approx(gamma_pdf, rel=1e-12)
 
     @pytest.mark.parametrize("params", [
         (2.0, 2.0, 1.0, 1.0),
@@ -135,25 +128,25 @@ class TestTgmPdf:
     def test_integrates_to_one(self, params):
         from scipy import integrate
 
-        p = TgmParams(*params)
-        hi = max(30.0 * p.alpha / (p.beta - p.lam), 10.0 * abs(p.tau) + 10.0)
-        split = p.tau if 0.0 < p.tau < hi else hi / 2.0
+        alpha, beta, lam, tau = params
+        hi = max(30.0 * alpha / (beta - lam), 10.0 * abs(tau) + 10.0)
+        split = tau if 0.0 < tau < hi else hi / 2.0
         total = 0.0
         for lo_piece, hi_piece in ((0.0, split), (split, hi)):
-            val, _ = integrate.quad(lambda x: tgm_pdf(p, x), lo_piece, hi_piece,
+            val, _ = integrate.quad(lambda x: tgm_pdf(*params, x), lo_piece, hi_piece,
                                     epsabs=1e-12, epsrel=1e-11, limit=200)
             total += val
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
-            tgm_pdf(TgmParams(2.0, 2.0, 1.0, 1.0), 0.0)
+            tgm_pdf(2.0, 2.0, 1.0, 1.0, 0.0)
 
 
 class TestSampleTruncGamma:
     def test_untruncated_matches_gamma_mean(self, rng):
         shape, rate = 3.0, 2.0
-        x = np.array([sample_trunc_gamma(shape, rate, TruncationWindow(0.0, math.inf), rng)
+        x = np.array([sample_trunc_gamma(shape, rate, 0.0, math.inf, rng)
                       for _ in range(100_000)])
         se = math.sqrt(shape / rate ** 2 / x.size)
         assert abs(x.mean() - shape / rate) < 3 * se
@@ -161,7 +154,7 @@ class TestSampleTruncGamma:
     def test_truncated_exponential_probability(self, rng):
         # P[X <= 0.5 | X <= 1] = (1 - e^-0.5) / (1 - e^-1)
         expected = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
-        x = np.array([sample_trunc_gamma(1.0, 1.0, TruncationWindow(0.0, 1.0), rng)
+        x = np.array([sample_trunc_gamma(1.0, 1.0, 0.0, 1.0, rng)
                       for _ in range(50_000)])
         assert abs((x <= 0.5).mean() - expected) < 0.01
 
@@ -170,22 +163,19 @@ class TestSampleTruncGamma:
     @settings(max_examples=80, deadline=None)
     def test_draws_inside_window(self, shape, rate, lo, width):
         rng = np.random.default_rng(12345)
-        window = TruncationWindow(lo, lo + width)
         for _ in range(5):
-            x = sample_trunc_gamma(shape, rate, window, rng)
+            x = sample_trunc_gamma(shape, rate, lo, lo + width, rng)
             assert lo < x <= lo + width
 
     def test_far_right_tail_window(self, rng):
-        window = TruncationWindow(30.0, 32.0)
-        x = np.array([sample_trunc_gamma(3.0, 1.0, window, rng) for _ in range(2000)])
+        x = np.array([sample_trunc_gamma(3.0, 1.0, 30.0, 32.0, rng) for _ in range(2000)])
         assert np.all((x > 30.0) & (x <= 32.0))
         # conditional density ~ shifted exponential with rate ~ 1 - 2/30
         assert 30.0 < x.mean() < 31.5
 
     def test_far_left_tail_window(self, rng):
         # mass of Gamma(400, 1) below 250 underflows the inverse-CDF route
-        window = TruncationWindow(0.0, 250.0)
-        x = np.array([sample_trunc_gamma(400.0, 1.0, window, rng) for _ in range(2000)])
+        x = np.array([sample_trunc_gamma(400.0, 1.0, 0.0, 250.0, rng) for _ in range(2000)])
         assert np.all((x > 0.0) & (x <= 250.0))
         assert x.mean() > 230.0  # density is increasing toward the cap
 
@@ -193,71 +183,64 @@ class TestSampleTruncGamma:
         # one-ulp interior window: representable but with no CDF mass
         hi = math.nextafter(0.5, 1.0)
         with pytest.raises(SamplingError):
-            sample_trunc_gamma(2.0, 1.0, TruncationWindow(0.5, hi), rng)
+            sample_trunc_gamma(2.0, 1.0, 0.5, hi, rng)
 
     def test_determinism(self):
         r1 = np.random.default_rng(7)
         r2 = np.random.default_rng(7)
-        w = TruncationWindow(0.2, 3.0)
-        a = [sample_trunc_gamma(2.0, 1.5, w, r1) for _ in range(50)]
-        b = [sample_trunc_gamma(2.0, 1.5, w, r2) for _ in range(50)]
+        a = [sample_trunc_gamma(2.0, 1.5, 0.2, 3.0, r1) for _ in range(50)]
+        b = [sample_trunc_gamma(2.0, 1.5, 0.2, 3.0, r2) for _ in range(50)]
         assert a == b
 
 
 class TestSampleTgm:
     def test_negative_tau_matches_gamma(self, rng):
-        p = TgmParams(2.0, 2.0, 1.0, -0.5)
-        x = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+        x = np.array([sample_tgm(2.0, 2.0, 1.0, -0.5, math.inf, rng)
                       for _ in range(100_000)])
         assert ks_distance(x, gamma_cdf(2.0, 3.0)) < 0.01
 
     def test_lambda_zero_matches_gamma(self, rng):
-        p = TgmParams(2.0, 2.0, 0.0, 0.7)
-        x = np.array([sample_tgm(p, TruncationWindow(0.0, math.inf), rng)
+        x = np.array([sample_tgm(2.0, 2.0, 0.0, 0.7, math.inf, rng)
                       for _ in range(100_000)])
         assert ks_distance(x, gamma_cdf(2.0, 2.0)) < 0.01
 
     def test_tau_beyond_window_uses_reduced_rate(self, rng):
         # tau above the cap collapses to a single truncated gamma at rate beta - lam
-        p = TgmParams(2.0, 2.0, 1.0, 5.0)
         cap = 1.5
-        x = np.array([sample_tgm(p, TruncationWindow(0.0, cap), rng)
+        x = np.array([sample_tgm(2.0, 2.0, 1.0, 5.0, cap, rng)
                       for _ in range(50_000)])
         assert np.all((x > 0) & (x <= cap))
-        ref = np.array([sample_trunc_gamma(2.0, 1.0, TruncationWindow(0.0, cap), rng)
+        ref = np.array([sample_trunc_gamma(2.0, 1.0, 0.0, cap, rng)
                         for _ in range(50_000)])
         assert abs(x.mean() - ref.mean()) < 0.02
 
     def test_windowed_draws_stay_inside(self, rng):
-        p = TgmParams(2.0, 2.0, 1.0, 1.0)
         cap = 1.2
-        x = np.array([sample_tgm(p, TruncationWindow(0.0, cap), rng)
+        x = np.array([sample_tgm(2.0, 2.0, 1.0, 1.0, cap, rng)
                       for _ in range(20_000)])
         assert np.all((x > 0) & (x <= cap))
 
-    def test_window_must_start_at_zero(self, rng):
-        p = TgmParams(2.0, 2.0, 1.0, 1.0)
+    def test_upper_must_be_positive(self, rng):
         with pytest.raises(ValueError):
-            sample_tgm(p, TruncationWindow(0.1, 2.0), rng)
+            sample_tgm(2.0, 2.0, 1.0, 1.0, 0.0, rng)
 
     def test_determinism(self):
-        p = TgmParams(5.0, 3.0, 2.0, 0.5)
-        a = [sample_tgm(p, TruncationWindow(0.0, math.inf), np.random.default_rng(3))
+        a = [sample_tgm(5.0, 3.0, 2.0, 0.5, math.inf, np.random.default_rng(3))
              for _ in range(1)]
-        b = [sample_tgm(p, TruncationWindow(0.0, math.inf), np.random.default_rng(3))
+        b = [sample_tgm(5.0, 3.0, 2.0, 0.5, math.inf, np.random.default_rng(3))
              for _ in range(1)]
         assert a == b
 
 
 class TestSampleTruncNormal:
     def test_unbounded_matches_normal(self, rng):
-        x = np.array([sample_trunc_normal(1.0, 2.0, TruncationWindow(-math.inf, math.inf), rng)
+        x = np.array([sample_trunc_normal(1.0, 2.0, -math.inf, math.inf, rng)
                       for _ in range(50_000)])
         assert abs(x.mean() - 1.0) < 3 * 2.0 / math.sqrt(x.size)
         assert abs(x.std() - 2.0) < 0.05
 
     def test_half_normal_mean(self, rng):
-        x = np.array([sample_trunc_normal(0.0, 1.0, TruncationWindow(0.0, math.inf), rng)
+        x = np.array([sample_trunc_normal(0.0, 1.0, 0.0, math.inf, rng)
                       for _ in range(100_000)])
         expected = math.sqrt(2.0 / math.pi)
         sd = math.sqrt(1.0 - expected ** 2)
@@ -268,25 +251,24 @@ class TestSampleTruncNormal:
     @settings(max_examples=80, deadline=None)
     def test_draws_inside_window(self, mean, sd, lo, width):
         rng = np.random.default_rng(99)
-        w = TruncationWindow(lo, lo + width)
         for _ in range(5):
-            x = sample_trunc_normal(mean, sd, w, rng)
+            x = sample_trunc_normal(mean, sd, lo, lo + width, rng)
             assert lo <= x <= lo + width
 
     def test_far_tail_rejection_branch(self, rng):
-        x = np.array([sample_trunc_normal(0.0, 1.0, TruncationWindow(8.0, 8.5), rng)
+        x = np.array([sample_trunc_normal(0.0, 1.0, 8.0, 8.5, rng)
                       for _ in range(3000)])
         assert np.all((x >= 8.0) & (x <= 8.5))
         assert x.mean() < 8.2  # mass hugs the lower edge
 
     def test_lower_far_tail(self, rng):
-        x = np.array([sample_trunc_normal(0.0, 1.0, TruncationWindow(-9.0, -8.0), rng)
+        x = np.array([sample_trunc_normal(0.0, 1.0, -9.0, -8.0, rng)
                       for _ in range(1000)])
         assert np.all((x >= -9.0) & (x <= -8.0))
 
     def test_rejects_bad_sd(self, rng):
         with pytest.raises(ValueError):
-            sample_trunc_normal(0.0, 0.0, TruncationWindow(0.0, 1.0), rng)
+            sample_trunc_normal(0.0, 0.0, 0.0, 1.0, rng)
 
 
 class TestSampleInverseGaussian:

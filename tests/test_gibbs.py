@@ -4,8 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpgibbs.errors import ConfigurationError
+import dpgibbs.gibbs as gibbs
+from dpgibbs.distributions import sample_tgm
+from dpgibbs.errors import ConfigurationError, DpGibbsError
 from dpgibbs.feasible import pair_feasible, stats_feasible
 from dpgibbs.gibbs import (
     ConstraintMode,
@@ -13,6 +17,9 @@ from dpgibbs.gibbs import (
     PredictiveMode,
     PriorSpec,
     SamplerConfig,
+    draw_mu,
+    draw_sigma_sq,
+    draw_ybar,
     gibbs_step,
     init_state,
     predictive_draws,
@@ -119,6 +126,74 @@ class TestGibbsStep:
                                ConstraintMode.MOMENT_CONSTRAINED, rng)
             assert pair_feasible(state.mu, state.sigma_sq)
             assert stats_feasible(state.ybar, state.s_sq, rel.n)
+
+
+EDGE_PRIORS = (PriorSpec.flat(),
+               PriorSpec.conjugate(mu0=0.3, kappa0=2.0, nu0=3.0, sigma0_sq=0.02))
+EDGE_N = st.one_of(st.integers(3, 60), st.integers(61, 10 ** 6))
+
+
+class TestConditionalEdges:
+    """At the edges of the feasible region every draw is finite and
+    feasible, or the sampler raises a DpGibbsError."""
+
+    @given(EDGE_N, st.floats(-0.5, 1.5), st.sampled_from(EDGE_PRIORS))
+    @settings(max_examples=100, deadline=None)
+    def test_mu_at_quarter_variance_is_half_without_a_draw(self, n, ybar, prior):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert draw_mu(ybar, 0.25, n, prior, True, rng) == 0.5
+        assert rng.bit_generator.state == before
+
+    @given(EDGE_N, st.integers(0, 4), st.floats(-0.5, 1.5), st.floats(1e-6, 0.25),
+           st.floats(1e-3, 1e9), st.floats(-1.0, 2.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ybar_at_the_s_sq_bound(self, n, ulps, mu, sigma_sq, omega_sq_inv,
+                                    ybar_star, seed):
+        # s_sq = n/(n-1) ybar (1 - ybar) at ybar = 1/2, then a few ulps below
+        s_sq = n / (n - 1.0) * 0.5 * (1.0 - 0.5)
+        for _ in range(ulps):
+            s_sq = math.nextafter(s_sq, 0.0)
+        try:
+            ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, ybar_star, n, True,
+                             np.random.default_rng(seed))
+        except DpGibbsError:
+            return
+        assert math.isfinite(ybar)
+        assert stats_feasible(ybar, s_sq, n)
+
+    @given(EDGE_N, st.floats(1e-3, 0.999), st.integers(1, 4), st.floats(0.01, 0.99),
+           st.floats(0.0, 1.0), st.floats(1e-4, 2.0), st.floats(-0.5, 2.0),
+           st.sampled_from(EDGE_PRIORS), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_sigma_sq_at_the_tgm_cap(self, n, eps2_share, ulps, mu, ybar, s_sq,
+                                     s_sq_star, prior, constrained, seed):
+        # The gamma kernel returns the smallest precisions it may, a few ulps
+        # above the floor, which puts sigma_sq a few ulps below its cap.
+        lam = eps2_share * 2.0 * (n - 1.0) / n * n
+
+        def floor_draw(shape, rate, lo, hi, rng):
+            for _ in range(ulps):
+                lo = math.nextafter(lo, math.inf)
+            return lo
+
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gibbs, "sample_trunc_gamma", floor_draw)
+            sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
+        assert 0.0 < sigma_sq < (n - 1.0) / (2.0 * lam)
+        assert (n - 1.0) / (2.0 * sigma_sq) > lam
+        if constrained:
+            assert pair_feasible(mu, sigma_sq)
+        try:
+            s_sq_new = sample_tgm((n - 1.0) / 2.0, (n - 1.0) / (2.0 * sigma_sq), lam,
+                                  s_sq_star, math.inf, rng)
+            mu_new = draw_mu(ybar, sigma_sq, n, prior, True, rng)
+        except DpGibbsError:
+            return
+        assert math.isfinite(s_sq_new) and s_sq_new > 0.0
+        if sigma_sq <= 0.25:
+            assert pair_feasible(mu_new, sigma_sq)
 
 
 class TestRunChain:

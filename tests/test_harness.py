@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dpgibbs.errors import ConfigurationError
+import dpgibbs.harness as harness
+from dpgibbs.errors import ConfigurationError, SamplingError
 from dpgibbs.gibbs import PriorSpec
 from dpgibbs.harness import (
     RESULT_HEADER,
@@ -99,6 +100,22 @@ class TestRunGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             run_grid([], parallelism=1)
+
+    def test_all_failed_scenario_is_a_configuration_error(self, monkeypatch):
+        def failing_chain(*args, **kwargs):
+            raise SamplingError("no draw")
+
+        monkeypatch.setattr(harness, "run_chain", failing_chain)
+        with pytest.raises(ConfigurationError):
+            run_grid([small_scenario(reps=2)], parallelism=1)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_chain(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "run_chain", broken_chain)
+        with pytest.raises(TypeError):
+            run_grid([small_scenario(reps=2)], parallelism=1)
 
 
 def test_paper_scale_restores_published_sizes():

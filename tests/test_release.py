@@ -11,7 +11,6 @@ from dpgibbs.release import (
     Budget,
     GaussianSummary,
     PrivateRelease,
-    compose,
     from_unit_release,
     release,
     sensitivities,
@@ -124,19 +123,6 @@ class TestRelease:
         # Laplace sd = sqrt(2) * scale with scale = 100 / (0.25 * 43)
         expected_sd = math.sqrt(2.0) * 100.0 / (0.25 * 43)
         assert abs(devs.std() - expected_sd) < 0.05 * expected_sd
-
-
-class TestCompose:
-    def test_example_splits(self):
-        assert compose([0.25, 0.25]) == 0.5
-        assert compose([0.1] * 11) == pytest.approx(1.1)
-        assert compose([0.7]) == 0.7
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            compose([])
-        with pytest.raises(ValueError):
-            compose([0.1, 0.0])
 
 
 class TestSummarize:
