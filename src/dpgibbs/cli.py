@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .augmented import run_augmented_chain
-from .errors import ConfigurationError, NumericalError, ValidationError
+from .errors import ConfigurationError, DpGibbsError, NumericalError, ValidationError
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .regression import RegPriors, ingest_and_rescale, release_regression, \
     run_regression_chain
@@ -40,79 +41,76 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text)
 
 
-def _read_single_column_csv(path: str) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
+def _read_csv(path: str, width: int | None) -> tuple[list[str], list[np.ndarray]]:
+    """The header and the first `width` numeric columns of a CSV file.
+
+    Blank lines and '#' lines are skipped.  The first remaining line is
+    the header when one of its first `width` cells is not a number.
+    Every other row needs `width` numeric cells (None: as many as the
+    first line has); cells past them are ignored.
+    """
+    header, values = [], []
+    for lineno, line in enumerate(Path(path).read_text().split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        width = width or len(cells)
+        try:
+            values.append([float(c) for c in cells[:width]])
+        except ValueError:
+            if not (header or values):
+                header = cells
                 continue
-            cell = line.split(",")[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if lineno == 0:
-                    continue  # header row
-                raise ValidationError(f"non-numeric value {cell!r} on line {lineno + 1}")
+            raise ValidationError(f"non-numeric cell on line {lineno} of {path}")
+        if len(cells) < width:
+            raise ValidationError(f"need {width} columns on line {lineno} of {path}")
     if not values:
         raise ValidationError(f"no numeric rows found in {path}")
-    return np.asarray(values)
+    return header, [np.asarray(col) for col in zip(*values)]
 
 
-def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) < 2:
-                raise ValidationError(f"need x,y columns on line {lineno + 1}")
-            try:
-                xs.append(float(cells[0]))
-                ys.append(float(cells[1]))
-            except ValueError:
-                if lineno == 0:
-                    continue
-                raise ValidationError(f"non-numeric row on line {lineno + 1}")
-    if not xs:
-        raise ValidationError(f"no numeric rows found in {path}")
-    return np.asarray(xs), np.asarray(ys)
+def _load_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _read_draws_csv(path: str) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if len(lines) < 2:
-        raise ValidationError(f"{path} holds no draws")
-    header = [h.strip() for h in lines[0].split(",")]
-    cols = {h: [] for h in header}
-    for ln in lines[1:]:
-        for h, cell in zip(header, ln.split(",")):
-            cols[h].append(float(cell))
-    return {h: np.asarray(v) for h, v in cols.items()}
+@contextmanager
+def _invalid(error: type[DpGibbsError], what: str):
+    """Re-raise what building a domain object from outside input raises as `error`.
+
+    `error` is ConfigurationError (exit 2) for flags and ValidationError
+    (exit 3) for file contents.  Never wrap a sampler: a ValueError from
+    sampling code is a bug and must crash the run.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"{what}: {reason}") from exc
+
+
+def _gaussian_prior(obj) -> PriorSpec:
+    """A flat or conjugate ('nig') prior from its JSON object."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"a prior is a JSON object, got {type(obj).__name__}")
+    with _invalid(ValidationError, "bad prior"):
+        if obj.get("kind") == "nig":
+            return PriorSpec.conjugate(float(obj["mu0"]), float(obj["kappa0"]),
+                                       float(obj["nu0"]), float(obj["sigma0_sq"]))
+        return PriorSpec(kind=obj.get("kind"))
 
 
 def _load_prior(source: str) -> PriorSpec:
     if source == "flat":
         return PriorSpec.flat()
     try:
-        obj = json.loads(Path(source).read_text())
+        obj = _load_json(source)
     except FileNotFoundError:
         raise ConfigurationError(f"prior file {source!r} not found")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed prior JSON: {exc}")
-    kind = obj.get("kind")
-    if kind == "flat":
-        return PriorSpec.flat()
-    if kind == "nig":
-        try:
-            return PriorSpec.conjugate(float(obj["mu0"]), float(obj["kappa0"]),
-                                       float(obj["nu0"]), float(obj["sigma0_sq"]))
-        except KeyError as exc:
-            raise ValidationError(f"prior file missing field {exc}")
-    raise ValidationError(f"prior kind must be 'flat' or 'nig', got {kind!r}")
+    return _gaussian_prior(obj)
 
 
 def _format_draws_csv(columns: dict[str, np.ndarray]) -> str:
@@ -126,11 +124,14 @@ def _format_draws_csv(columns: dict[str, np.ndarray]) -> str:
 
 
 def cmd_release(args) -> int:
-    data = _read_single_column_csv(args.data)
-    bounds = Bounds(args.lower, args.upper)
+    _, (data,) = _read_csv(args.data, 1)
+    with _invalid(ConfigurationError, "bad --lower/--upper"):
+        bounds = Bounds(args.lower, args.upper)
     summary = summarize(data, bounds)
     rng = np.random.default_rng(args.seed)
-    rel = release(summary, bounds, Budget(args.eps1, args.eps2), rng)
+    with _invalid(ConfigurationError, "bad --eps1/--eps2"):
+        budget = Budget(args.eps1, args.eps2)
+    rel = release(summary, bounds, budget, rng)
     _write_text(args.out, rel.to_json() + "\n")
     return 0
 
@@ -138,8 +139,9 @@ def cmd_release(args) -> int:
 def cmd_infer(args) -> int:
     rel = PrivateRelease.from_json(Path(args.release).read_text())
     prior = _load_prior(args.prior)
-    config = SamplerConfig(iters=args.iters, seed=args.seed,
-                           burn_in=args.burn_in, thin=args.thin)
+    with _invalid(ConfigurationError, "bad --iters/--burn-in/--thin"):
+        config = SamplerConfig(iters=args.iters, seed=args.seed,
+                               burn_in=args.burn_in, thin=args.thin)
     if args.sampler == "likelihood":
         draws = run_augmented_chain(rel, args.constrained, config, prior=prior)
     else:
@@ -159,24 +161,22 @@ def cmd_infer(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    x, y = _read_xy_csv(args.data)
+    _, (x, y) = _read_csv(args.data, 2)
     data = ingest_and_rescale(x, y)
     if args.prior is None:
         priors = RegPriors.default()
     else:
-        try:
-            obj = json.loads(Path(args.prior).read_text())
+        obj = _load_json(args.prior)
+        with _invalid(ValidationError, "bad regression prior"):
             priors = RegPriors(mu0=np.asarray(obj["mu0"], dtype=float),
                                lambda0=np.asarray(obj["lambda0"], dtype=float),
                                a0=float(obj["a0"]), b0=float(obj["b0"]))
-        except FileNotFoundError:
-            raise ValidationError(f"prior file {args.prior!r} not found")
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"malformed regression prior: {exc}")
     rng = np.random.default_rng(args.seed)
-    rel = release_regression(data, args.eps_per_query, rng)
+    with _invalid(ConfigurationError, "bad --eps-per-query"):
+        rel = release_regression(data, args.eps_per_query, rng)
     chain_seed = int(np.random.SeedSequence((args.seed, 1)).generate_state(1)[0])
-    config = SamplerConfig(iters=args.iters, seed=chain_seed, burn_in=args.burn_in)
+    with _invalid(ConfigurationError, "bad --iters/--burn-in"):
+        config = SamplerConfig(iters=args.iters, seed=chain_seed, burn_in=args.burn_in)
     draws = run_regression_chain(rel, priors, args.constrained, config)
     _write_text(args.out, _format_draws_csv({
         "theta0": draws.theta0,
@@ -186,43 +186,31 @@ def cmd_regress(args) -> int:
     return 0
 
 
-def _scenario_from_dict(obj: dict) -> harness.Scenario:
-    prior_obj = obj.get("prior", {"kind": "flat"})
-    if prior_obj.get("kind") == "nig":
-        prior = PriorSpec.conjugate(float(prior_obj["mu0"]), float(prior_obj["kappa0"]),
-                                    float(prior_obj["nu0"]), float(prior_obj["sigma0_sq"]))
-    else:
-        prior = PriorSpec.flat()
-    try:
-        return harness.Scenario(
-            n=int(obj["n"]),
-            eps1=float(obj["eps1"]),
-            eps2=float(obj["eps2"]),
-            truth_mu=float(obj["truth_mu"]),
-            truth_sigma=float(obj["truth_sigma"]),
-            mode=str(obj.get("mode", "unconstrained")),
-            prior=prior,
-            reps=int(obj["reps"]),
-            iters=int(obj["iters"]),
-            base_seed=int(obj["base_seed"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scenario missing field {exc}")
+_SCENARIO_FIELDS = {"n": int, "eps1": float, "eps2": float, "truth_mu": float,
+                    "truth_sigma": float, "reps": int, "iters": int, "base_seed": int}
+
+
+def _scenario(obj) -> harness.Scenario:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"a scenario is a JSON object, got {type(obj).__name__}")
+    prior = _gaussian_prior(obj.get("prior", {"kind": "flat"}))
+    with _invalid(ValidationError, "bad scenario"):
+        fields = {name: cast(obj[name]) for name, cast in _SCENARIO_FIELDS.items()}
+        return harness.Scenario(mode=str(obj.get("mode", "unconstrained")), prior=prior,
+                                **fields)
 
 
 def cmd_simulate(args) -> int:
-    if args.grid == "fig2":
-        text = resources.files("dpgibbs").joinpath("presets/fig2.json").read_text()
-    else:
-        try:
-            text = Path(args.grid).read_text()
-        except FileNotFoundError:
-            raise ValidationError(f"grid file {args.grid!r} not found")
-    obj = json.loads(text)
-    raw = obj["scenarios"] if isinstance(obj, dict) else obj
+    source = (resources.files("dpgibbs").joinpath("presets/fig2.json")
+              if args.grid == "fig2" else args.grid)
+    obj = _load_json(source)
+    with _invalid(ValidationError, "bad grid"):
+        raw = obj["scenarios"] if isinstance(obj, dict) else obj
     if not raw:
         raise ConfigurationError("scenario grid is empty")
-    scenarios = [_scenario_from_dict(o) for o in raw]
+    if not isinstance(raw, list):
+        raise ValidationError(f"scenarios are a JSON list, got {type(raw).__name__}")
+    scenarios = [_scenario(o) for o in raw]
     if args.paper_scale:
         scenarios = [harness.paper_scale(s) for s in scenarios]
     csv = harness.run_grid(scenarios, parallelism=args.parallelism)
@@ -231,17 +219,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    cols = _read_draws_csv(args.draws)
+    header, columns = _read_csv(args.draws, None)
+    cols = dict(zip(header, columns))
     if args.column not in cols:
-        raise ValidationError(
-            f"column {args.column!r} not in {sorted(cols)}"
-        )
+        raise ValidationError(f"column {args.column!r} not in {sorted(cols)}")
     x = cols[args.column]
-    interval = hpd_interval(x, args.mass)
+    # kde_mode's only check is its sample count, so once it passes, the
+    # only check hpd_interval can fail is the one on --mass
+    with _invalid(ValidationError, f"column {args.column!r}"):
+        mode = kde_mode(x)
+    with _invalid(ConfigurationError, "bad --mass"):
+        interval = hpd_interval(x, args.mass)
     report = {
         "format_version": FORMAT_VERSION,
         "column": args.column,
-        "mode": kde_mode(x),
+        "mode": mode,
         "hpd_lo": interval.lo,
         "hpd_hi": interval.hi,
         "mean": float(x.mean()),
@@ -255,6 +247,13 @@ def cmd_validate(args) -> int:
     report = run_validation(inject_fault=args.inject_fault)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else _EXIT_NUMERIC
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # numpy seeds its generators from non-negative integers only
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", type=float, required=True)
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_release)
 
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20_000)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--force-sigma-constraint", action="store_true",
                    dest="force_sigma_constraint")
     p.add_argument("--out", default="-")
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constrained", action="store_true")
     p.add_argument("--iters", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_regress)
 
@@ -324,22 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (DpGibbsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        if isinstance(exc, ConfigurationError):
+            return _EXIT_USAGE
+        return _EXIT_NUMERIC if isinstance(exc, NumericalError) else _EXIT_DATA
 
 
 if __name__ == "__main__":

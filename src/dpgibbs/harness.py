@@ -48,6 +48,9 @@ class Scenario:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.reps <= 0 or self.iters <= 0:
             raise ConfigurationError("reps and iters must be positive")
+        if self.n < 2 or self.base_seed < 0:
+            raise ValueError("a scenario needs n >= 2 and base_seed >= 0")
+        Budget(self.eps1, self.eps2)  # rejects the budget before any replication runs
         if not 0.0 < self.truth_mu < 1.0 or self.truth_sigma <= 0:
             raise ConfigurationError("need truth_mu in (0, 1) and truth_sigma > 0")
 
@@ -101,7 +104,10 @@ def _aggregate(scenario: Scenario, recs: list[CoverageRecord | None]) -> Scenari
     """Summarize one scenario's replications; None marks a failed one."""
     records = [rec for rec in recs if rec is not None]
     if not records:
-        raise ConfigurationError("every replication of the scenario failed")
+        raise ConfigurationError(
+            f"every replication of the scenario failed (n={scenario.n}, "
+            f"mode={scenario.mode}, eps1={scenario.eps1:g}, eps2={scenario.eps2:g}, "
+            f"base_seed={scenario.base_seed})")
     agg = coverage_aggregate(records)
     return ScenarioResult(
         scenario=scenario,

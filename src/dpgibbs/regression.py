@@ -96,16 +96,11 @@ class RegPriors:
 class RegMomentModel:
     """Noisy second moments eta = E[xx'] and centered fourth moments.
 
-    xi4 is the 2x2x2x2 covariance tensor of vec(xx'); the flattened 4x4
-    view is exposed as .xi.
+    xi4 is the 2x2x2x2 covariance tensor of vec(xx').
     """
 
     eta: np.ndarray
     xi4: np.ndarray
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.xi4.reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -146,6 +141,8 @@ def ingest_and_rescale(x_raw, y_raw) -> RegressionData:
 def release_regression(data: RegressionData, eps_per_query: float,
                        rng: Generator) -> RegRelease:
     """Laplace-noise each of the 11 unit-sensitivity queries independently."""
+    if not eps_per_query > 0:
+        raise ValueError("eps_per_query must be positive")
     x, y = data.x, data.y
     n = data.n
     exact = np.array([
@@ -210,7 +207,7 @@ def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
     ])
 
     xi_th_l = np.einsum("ijkl,l->ijk", xi4, theta)       # contract one theta
-    xi_th_jl = np.einsum("ijk,j->ik", np.einsum("ijkl,l->ijk", xi4, theta), theta)
+    xi_th_jl = np.einsum("ijk,j->ik", xi_th_l, theta)
     xi_th_kl = np.einsum("ijkl,k,l->ij", xi4, theta, theta)
     xi_th_jkl = np.einsum("ijkl,j,k,l->i", xi4, theta, theta, theta)
     xi_th_all = float(np.einsum("ijkl,i,j,k,l->", xi4, theta, theta, theta, theta))

@@ -59,8 +59,8 @@ class Budget:
     eps2: float
 
     def __post_init__(self):
-        if not (self.eps1 > 0 and self.eps2 > 0):
-            raise ValueError("Budget requires eps1 > 0 and eps2 > 0")
+        if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
+            raise ValueError("Budget requires finite eps1 > 0 and eps2 > 0")
 
     @property
     def total(self) -> float:
@@ -86,8 +86,9 @@ class GaussianSummary:
 class PrivateRelease:
     """Noisy statistics plus the public metadata the samplers need.
 
-    The noisy values carry no invariants: Laplace noise is unbounded, so
-    ybar_star may fall outside [a, b] and s_sq_star may be negative.
+    The noisy values carry no invariant beyond being finite: Laplace noise
+    is unbounded, so ybar_star may fall outside [a, b] and s_sq_star may
+    be negative.
     """
 
     ybar_star: float
@@ -95,6 +96,10 @@ class PrivateRelease:
     n: int
     budget: Budget
     bounds: Bounds
+
+    def __post_init__(self):
+        if self.n < 2 or not (math.isfinite(self.ybar_star) and math.isfinite(self.s_sq_star)):
+            raise ValueError("PrivateRelease requires n >= 2 and finite noisy statistics")
 
     def to_unit(self) -> "PrivateRelease":
         """Map the release onto the [0, 1] analysis scale."""
@@ -135,7 +140,7 @@ class PrivateRelease:
                 budget=Budget(float(obj["eps1"]), float(obj["eps2"])),
                 bounds=Bounds(float(obj["a"]), float(obj["b"])),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
             raise ValidationError(f"malformed release JSON: {exc}") from exc
 
 

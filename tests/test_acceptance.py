@@ -254,9 +254,9 @@ def test_criterion_09_constraint_totality(lead_chains):
 
     from importlib import resources
 
-    from dpgibbs.cli import _read_xy_csv
+    from dpgibbs.cli import _read_csv
 
-    x, y = _read_xy_csv(str(resources.files("dpgibbs").joinpath("data/demo_regression.csv")))
+    _, (x, y) = _read_csv(str(resources.files("dpgibbs").joinpath("data/demo_regression.csv")), 2)
     data = ingest_and_rescale(x, y)
     rel = release_regression(data, 0.1, np.random.default_rng(51))
     draws = run_regression_chain(rel, RegPriors.default(), True,

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpgibbs.harness as harness
 from dpgibbs.cli import main
@@ -168,6 +173,8 @@ class TestSimulate:
                         "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert "every replication of the scenario failed" in err
+        for field in ("n=40", "mode=unconstrained", "eps1=0.25", "eps2=0.25", "base_seed=11"):
+            assert field in err
         assert "Traceback" not in err
 
     def test_fig2_preset_loads(self):
@@ -220,3 +227,186 @@ def test_console_entry_point_usage_exit():
     proc = subprocess.run([sys.executable, "-m", "dpgibbs", "definitely-not-a-command"],
                           capture_output=True)
     assert proc.returncode == 2
+
+
+# -- malformed input: every bad flag or file is exit 2 or 3, never a traceback --
+
+RELEASE = {"format_version": 1, "ybar_star": 34.3, "s_sq_star": 2224.0, "n": 43,
+           "eps1": 0.25, "eps2": 0.25, "a": 0.0, "b": 100.0}
+NIG_PRIOR = {"kind": "nig", "mu0": 12.5, "kappa0": 1.0, "nu0": 1.0, "sigma0_sq": 14.44}
+SCENARIO = {"n": 40, "eps1": 0.25, "eps2": 0.25, "truth_mu": 0.5, "truth_sigma": 0.2,
+            "mode": "unconstrained", "reps": 2, "iters": 50, "base_seed": 11}
+DRAWS_CSV = "# format_version=1\nt,mu\n" + "".join(f"{t},{0.1 * t}\n" for t in range(50))
+
+
+def _infer(release, *extra):
+    return ["infer", "--release", release, "--iters", "50", "--seed", "1", *extra]
+
+
+def _release_cmd(data, lower="0", upper="100", eps1="0.25"):
+    return ["release", "--data", data, "--lower", lower, "--upper", upper,
+            "--eps1", eps1, "--eps2", "0.25", "--seed", "1"]
+
+
+def _grid(write, body):
+    return ["simulate", "--grid", write("grid.json", body)]
+
+
+# name -> (exit code, argv built from write(name, body) -> path)
+MALFORMED = {
+    "release JSON non-numeric field": (3, lambda w: _infer(w("r.json", {**RELEASE, "n": "abc"}))),
+    "release JSON eps1 = 0": (3, lambda w: _infer(w("r.json", {**RELEASE, "eps1": 0}))),
+    "prior JSON non-numeric mu0": (3, lambda w: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, "mu0": "abc"}))),
+    "prior JSON kappa0 < 0": (3, lambda w: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, "kappa0": -1.0}))),
+    "infer --iters 0": (2, lambda w: ["infer", "--release", w("r.json", RELEASE),
+                                      "--iters", "0", "--seed", "1"]),
+    "infer --thin 0": (2, lambda w: _infer(w("r.json", RELEASE), "--thin", "0")),
+    "infer --burn-in >= iters": (2, lambda w: _infer(w("r.json", RELEASE), "--burn-in", "50")),
+    "release --eps1 0": (2, lambda w: _release_cmd(w("d.csv", DATA_LINES), eps1="0")),
+    "release --lower > --upper": (2, lambda w: _release_cmd(
+        w("d.csv", DATA_LINES), lower="100", upper="0")),
+    "regress --eps-per-query 0": (2, lambda w: [
+        "regress", "--data", w("xy.csv", "x,y\n0,1\n1,3\n2,2\n3,5\n"),
+        "--eps-per-query", "0", "--iters", "50", "--seed", "1"]),
+    "summarize --mass 1.5": (2, lambda w: ["summarize", "--draws", w("d.csv", DRAWS_CSV),
+                                           "--mass", "1.5"]),
+    "summarize non-numeric cell": (3, lambda w: ["summarize", "--draws",
+                                                 w("d.csv", DRAWS_CSV + "50,abc\n")]),
+    "grid nig prior without mu0": (3, lambda w: _grid(w, {"scenarios": [
+        {**SCENARIO, "prior": {k: v for k, v in NIG_PRIOR.items() if k != "mu0"}}]})),
+    "grid truncated JSON": (3, lambda w: _grid(w, json.dumps({"scenarios": [SCENARIO]})[:40])),
+    "grid scenarios = 5": (3, lambda w: _grid(w, {"scenarios": 5})),
+    "grid list of non-objects": (3, lambda w: _grid(w, {"scenarios": [1, 2]})),
+    "grid n = 'ten'": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "n": "ten"}]})),
+    "grid reps = '3.5'": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "reps": "3.5"}]})),
+    "grid unknown prior kind": (3, lambda w: _grid(w, {"scenarios": [
+        {**SCENARIO, "prior": {"kind": "bogus"}}]})),
+    "grid eps1 = 0": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "eps1": 0}]})),
+    "grid n = 1": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "n": 1}]})),
+    "release JSON NaN statistic": (3, lambda w: _infer(
+        w("r.json", {**RELEASE, "ybar_star": float("nan")}))),
+    "release JSON n = 0": (3, lambda w: _infer(w("r.json", {**RELEASE, "n": 0}),
+                                              "--prior", w("p.json", NIG_PRIOR))),
+    "release --eps1 inf": (2, lambda w: _release_cmd(w("d.csv", DATA_LINES), eps1="inf")),
+    "input is a directory": (3, lambda w: _release_cmd(str(Path(w("d.csv", "")).parent))),
+}
+
+
+def _writer(directory):
+    def write(name, body):
+        path = directory / name
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        return str(path)
+    return write
+
+
+def run_quietly(argv):
+    """Exit code and stderr of one in-process CLI call; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exit_code(name, tmp_path):
+    expected, build = MALFORMED[name]
+    code, err = run_quietly(build(_writer(tmp_path)) + ["--out", str(tmp_path / "out")])
+    lines = err.splitlines()
+    assert code == expected
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+_BAD_VALUES = st.sampled_from(["abc", "", None, [], {}, -1, 0, 0.5, "3.5"])
+
+
+def _json_body(valid: dict):
+    """`valid` as JSON text with one field replaced or dropped, cut short, or replaced whole."""
+    text = json.dumps(valid)
+    field = st.sampled_from(sorted(valid))
+    return st.one_of(
+        st.just(text),
+        st.builds(lambda k, v: json.dumps({**valid, k: v}), field, _BAD_VALUES),
+        field.map(lambda k: json.dumps({x: y for x, y in valid.items() if x != k})),
+        st.integers(0, len(text) - 1).map(lambda cut: text[:cut]),
+        _BAD_VALUES.map(json.dumps),
+    )
+
+
+def _csv_body(rows, junk=("abc", "", "# c", ",", "1,abc", "x,y", "nan")):
+    return st.lists(st.sampled_from(list(rows) + list(junk)), max_size=70).map("\n".join)
+
+
+_FLOAT_FLAGS = st.sampled_from(["0", "-1", "0.25", "1", "nan", "inf"])
+_SEEDS = st.integers(-2, 5).map(str)
+_ITERS = st.integers(-2, 50).map(str)
+_CASES = {
+    "release": st.tuples(
+        st.fixed_dictionaries({"d.csv": _csv_body(["value", "12.5", "40", "99.9", "0", "100"])}),
+        st.builds(lambda lo, hi, e1, e2, seed: [
+            "release", "--data", "d.csv", "--lower", lo, "--upper", hi, "--eps1", e1,
+            "--eps2", e2, "--seed", seed], st.sampled_from(["0", "50", "nan"]),
+            st.sampled_from(["100", "-1", "inf"]), _FLOAT_FLAGS, _FLOAT_FLAGS, _SEEDS)),
+    "infer": st.tuples(
+        st.fixed_dictionaries({"r.json": _json_body(RELEASE), "p.json": _json_body(NIG_PRIOR)}),
+        st.builds(lambda iters, seed, *extra: [
+            "infer", "--release", "r.json", "--iters", iters, "--seed", seed,
+            *[a for flags in extra for a in flags]], _ITERS, _SEEDS,
+            st.sampled_from([[], ["--prior", "p.json"], ["--prior", "flat"]]),
+            st.sampled_from([[], ["--constrained"]]),
+            st.sampled_from([[], ["--sampler", "likelihood"]]),
+            st.sampled_from([[], ["--thin", "0"], ["--thin", "3"], ["--burn-in", "-1"],
+                             ["--burn-in", "10"], ["--burn-in", "60"]]))),
+    "regress": st.tuples(
+        st.fixed_dictionaries({
+            "xy.csv": _csv_body(["x,y", "0,1", "1,3", "2,2", "3,5", "0.5,4", "7"]),
+            "p.json": _json_body({"mu0": [1.0, 0.0], "lambda0": [[0.25, 0.0], [0.0, 0.25]],
+                                  "a0": 20.0, "b0": 0.5})}),
+        st.builds(lambda eps, iters, seed, extra: [
+            "regress", "--data", "xy.csv", "--eps-per-query", eps, "--iters", iters,
+            "--seed", seed, *extra], _FLOAT_FLAGS, _ITERS, _SEEDS,
+            st.sampled_from([[], ["--prior", "p.json"], ["--burn-in", "49"]]))),
+    "simulate": st.tuples(
+        st.fixed_dictionaries({"g.json": st.one_of(
+            _json_body(SCENARIO).map(lambda s: '{"scenarios": [' + s + "]}"),
+            _json_body(NIG_PRIOR).map(
+                lambda p: '{"scenarios": [' + json.dumps(SCENARIO)[:-1] + ', "prior": ' + p + "}]}"),
+            _json_body({"scenarios": [SCENARIO]}))}),
+        st.just(["simulate", "--grid", "g.json"])),
+    "summarize": st.tuples(
+        st.fixed_dictionaries({"d.csv": _csv_body(
+            ["t,mu", "# format_version=1"] + [f"{t},{t * 0.3 % 1}" for t in range(40)])}),
+        st.builds(lambda mass, column: ["summarize", "--draws", "d.csv", "--mass", mass,
+                                        "--column", column],
+                  st.sampled_from(["-0.5", "0", "0.5", "0.95", "1", "1.5", "nan"]),
+                  st.sampled_from(["mu", "t", "bogus"]))),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_never_tracebacks(command, fuzz_dir, data):
+    """Malformed files and out-of-range flags end in exit 0, 2, 3 or 4.
+
+    No grid scenario gets a positive iters below the 30 draws kde_mode
+    needs: every replication would then raise from the summaries.
+    """
+    files, argv = data.draw(_CASES[command])
+    write = _writer(fuzz_dir)
+    paths = {name: write(name, body) for name, body in files.items()}
+    code, err = run_quietly([paths.get(a, a) for a in argv]
+                            + ["--out", str(fuzz_dir / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

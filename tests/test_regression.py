@@ -22,10 +22,10 @@ from dpgibbs.regression import (
 def demo_data():
     from importlib import resources
 
-    from dpgibbs.cli import _read_xy_csv
+    from dpgibbs.cli import _read_csv
 
     path = resources.files("dpgibbs").joinpath("data/demo_regression.csv")
-    x, y = _read_xy_csv(str(path))
+    _, (x, y) = _read_csv(str(path), 2)
     return ingest_and_rescale(x, y)
 
 
@@ -251,6 +251,19 @@ class TestRegressionChain:
         b = run_regression_chain(rel, RegPriors.default(), True, cfg)
         np.testing.assert_array_equal(a.theta0, b.theta0)
         np.testing.assert_array_equal(a.stats, b.stats)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lambda_projection_fallback(self, seed):
+        # a near-zero prior precision lets the imputed X'X make lambda_n
+        # non-PD; the chain must project it, count the event and go on
+        priors = RegPriors(mu0=np.array([1.0, 0.0]), lambda0=1e-30 * np.eye(2),
+                           a0=20.0, b0=0.5)
+        rel = release_regression(demo_data(), 0.1, np.random.default_rng(seed))
+        draws = run_regression_chain(rel, priors, False,
+                                     SamplerConfig(iters=500, seed=seed, burn_in=0))
+        assert draws.warnings["lambda_psd_projected"] > 0
+        for col in (draws.theta0, draws.theta1, draws.sigma_sq):
+            assert np.isfinite(col).all()
 
     def test_stuck_chain_raises_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(reg, "_REJECTION_CAP", 20_000)
