@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy import special as sc
+from scipy.special import cython_special as cs
 
 from .distributions import _tgm_log_weights
 from .errors import NumericalError
@@ -57,7 +57,7 @@ def likelihood_s2_star(s2_star: float, sigma_sq: float, n: int, eps2: float) -> 
     log_f = (
         math.log(lam / 2.0)
         + a * math.log(big_b)
-        - sc.gammaln(a)
+        - cs.gammaln(a)
         + np.logaddexp(log_w1, log_w2)
     )
     return float(math.exp(log_f))
@@ -132,7 +132,7 @@ def _s2_noise_integral(sigma_sq: float, s2_star: float, n: int, eps2: float) -> 
     a = (n - 1.0) / 2.0
     big_b = (n - 1.0) / (2.0 * sigma_sq)
     lam = eps2 * n
-    log_c = a * math.log(big_b) - sc.gammaln(a) + math.log(lam / 2.0)
+    log_c = a * math.log(big_b) - cs.gammaln(a) + math.log(lam / 2.0)
 
     def f(s2):
         return np.exp(log_c + (a - 1.0) * np.log(s2) - big_b * s2

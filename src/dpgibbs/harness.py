@@ -23,7 +23,13 @@ from .augmented import run_augmented_chain
 from .errors import ConfigurationError, DpGibbsError
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .release import UNIT, Budget, GaussianSummary, release
-from .summary import CoverageRecord, coverage_aggregate, hpd_interval, kde_mode
+from .summary import (
+    KDE_MIN_SAMPLES,
+    CoverageRecord,
+    coverage_aggregate,
+    hpd_interval,
+    kde_mode,
+)
 
 RESULT_HEADER = "n,eps,mode,prior,mu_true,coverage,coverage_se,avg_len,rmse,errors"
 
@@ -46,8 +52,11 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.reps <= 0 or self.iters <= 0:
-            raise ConfigurationError("reps and iters must be positive")
+        if self.reps <= 0:
+            raise ConfigurationError("reps must be positive")
+        if self.iters < KDE_MIN_SAMPLES:
+            raise ConfigurationError(
+                f"iters must be at least {KDE_MIN_SAMPLES}, the draws kde_mode summarizes")
         if self.n < 2 or self.base_seed < 0:
             raise ValueError("a scenario needs n >= 2 and base_seed >= 0")
         Budget(self.eps1, self.eps2)  # rejects the budget before any replication runs

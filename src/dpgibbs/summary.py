@@ -4,6 +4,23 @@ These mirror the conventions of the usual R tooling: the HPD interval is
 the shortest window of ceil(mass * T) consecutive order statistics, and
 the mode is the argmax of a Gaussian KDE with Silverman's rule-of-thumb
 bandwidth on a 512-point grid.
+
+The mode is the argmax of the exact 512 x T kernel sum, but that sum is
+only evaluated on the grid points that can hold it.  A screen estimates
+the density at every grid point by linear binning onto a lattice 8 times
+finer than the grid plus one FFT convolution (the approximation of R's
+density(), Silverman 1982, Applied Statistics AS 176).  Per sample, the
+binned kernel is a linear interpolant of the Gaussian, whose second
+derivative is at most 1/bw^2, so it is off by at most (delta/bw)^2 / 8
+for lattice spacing delta.  Floating-point placement of the grid and the
+samples adds at most 2^-48 (|lo| + |hi|) / bw per sample, where [lo, hi]
+is the grid's span, and rounding in the FFT and in the exact sum stays
+under 1e-9 per sample.  With B, T times the sum of these, no screened
+value is further than B from the exact one, so every grid point whose
+exact density is the maximum screens within 2B of the screened maximum.
+Only those points get the exact sum, in ascending order, so argmax ties
+resolve as over the full grid.  When B is loose (heavy-tailed samples
+spread the grid) every point is kept.
 """
 
 from __future__ import annotations
@@ -14,8 +31,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+KDE_MIN_SAMPLES = 30
 _GRID_SIZE = 512
 _KDE_CHUNK = 4096
+_SCREEN_REFINE = 8  # screening lattice points per grid step
+_SCREEN_SLACK = 1e-9  # per-sample allowance for FFT and summation rounding
 
 
 @dataclass(frozen=True)
@@ -73,21 +93,52 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * a * x.size ** (-0.2)
 
 
+def _screen_rows(x: np.ndarray, lo: float, hi: float, bw: float) -> np.ndarray:
+    """Indices of the grid points whose exact KDE value can be the maximum.
+
+    See the module docstring for the screen and its error bound.
+    """
+    size = _SCREEN_REFINE * (_GRID_SIZE - 1) + 1
+    delta = (hi - lo) / (size - 1)
+    ratio = delta / bw
+    bound = x.size * (ratio * ratio / 8.0 + 2.0 ** -48 * (abs(lo) + abs(hi)) / bw
+                      + _SCREEN_SLACK)
+    if not 2.0 * bound < x.size:  # no screened value exceeds T: nothing is ruled out
+        return np.arange(_GRID_SIZE)
+    pos = np.clip((x - lo) / delta, 0.0, size - 1.0)
+    cell = np.minimum(pos.astype(np.int64), size - 2)
+    frac = pos - cell
+    weights = (np.bincount(cell, 1.0 - frac, minlength=size)
+               + np.bincount(cell + 1, frac, minlength=size))
+    nfft = 1 << (2 * size - 2).bit_length()
+    offsets = np.arange(nfft)
+    offsets = np.minimum(offsets, nfft - offsets) * ratio  # circular lattice distance
+    kernel = np.exp(-0.5 * offsets * offsets)
+    screened = np.fft.irfft(np.fft.rfft(weights, nfft) * np.fft.rfft(kernel), nfft)
+    screened = screened[:size:_SCREEN_REFINE]
+    return np.flatnonzero(screened >= screened.max() - 2.0 * bound)
+
+
 def kde_mode(samples) -> float:
     """Gaussian-KDE posterior mode on a 512-point grid.
 
     Bandwidth is Silverman's 0.9 min(sd, IQR/1.34) T^(-1/5); the grid
     spans [min - 3 bw, max + 3 bw].  Constant samples short-circuit to
-    the constant.
+    the constant.  The result is the first grid point where the exact
+    kernel sum is largest.  That sum is evaluated only at the points that
+    a binned FFT screen on a lattice of spacing delta = grid step / 8
+    puts within 2B of its maximum, where the screen's error bound is
+    B = T ((delta/bw)^2 / 8 + 2^-48 (|lo| + |hi|) / bw + 1e-9).
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 30:
-        raise ValueError("kde_mode needs at least 30 samples")
+    if x.size < KDE_MIN_SAMPLES:
+        raise ValueError(f"kde_mode needs at least {KDE_MIN_SAMPLES} samples")
     bw = _silverman_bandwidth(x)
     if bw == 0.0 or not math.isfinite(bw):
         return float(x[0])
-    grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, _GRID_SIZE)
-    dens = np.zeros(_GRID_SIZE)
+    lo, hi = float(x.min()) - 3.0 * bw, float(x.max()) + 3.0 * bw
+    grid = np.linspace(lo, hi, _GRID_SIZE)[_screen_rows(x, lo, hi, bw)]
+    dens = np.zeros(grid.size)
     inv = 1.0 / bw
     for start in range(0, x.size, _KDE_CHUNK):
         chunk = x[start:start + _KDE_CHUNK]

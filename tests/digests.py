@@ -1,0 +1,250 @@
+"""SHA-256 digests of the package's seeded output, one line per layer.
+
+Run as ``python tests/digests.py`` from the root of a checkout; it imports
+the package from that checkout's ``src``.  Two trees that print the same
+lines produce the same bytes on every path covered here, so a change that
+claims byte-identical output can be checked by running this script on
+both.  It is not a test and takes no options.
+
+Each digest hashes float.hex of every value produced, or the class name
+of the error raised, for a fixed list of seeded inputs:
+
+- kernels: 4 000 random parameter sets through every distributions
+  kernel and the log incomplete gammas behind the TGM weights;
+- chain: run_chain in the four prior/constraint variants on releases with
+  n from 3 to 10**6, eps up to the 2(n-1)/n limit and noisy statistics
+  outside [0, 1];
+- augmented: run_augmented_chain, constrained and unconstrained;
+- predictive: the three predictive modes;
+- regression: run_regression_chain in both modes;
+- summary: kde_mode and hpd_interval on mixed samples;
+- grid: a small run_grid.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dpgibbs.augmented import run_augmented_chain  # noqa: E402
+from dpgibbs.distributions import (  # noqa: E402
+    _log_reg_inc_gamma_lower,
+    _log_reg_inc_gamma_upper,
+    sample_inverse_gaussian,
+    sample_laplace,
+    sample_tgm,
+    sample_trunc_gamma,
+    sample_trunc_normal,
+    tgm_pdf,
+    tgm_weights,
+)
+from dpgibbs.errors import DpGibbsError  # noqa: E402
+from dpgibbs.evidence import likelihood_s2_star  # noqa: E402
+from dpgibbs.gibbs import (  # noqa: E402
+    ConstraintMode,
+    PredictiveMode,
+    PriorSpec,
+    SamplerConfig,
+    predictive_draws,
+    run_chain,
+)
+from dpgibbs.harness import Scenario, run_grid  # noqa: E402
+from dpgibbs.regression import (  # noqa: E402
+    RegPriors,
+    ingest_and_rescale,
+    release_regression,
+    run_regression_chain,
+)
+from dpgibbs.release import UNIT, Bounds, Budget, PrivateRelease  # noqa: E402
+from dpgibbs.summary import hpd_interval, kde_mode  # noqa: E402
+
+_PRIORS = (PriorSpec.flat(), PriorSpec.conjugate(0.4, 2.0, 3.0, 0.05))
+_MODES = (ConstraintMode.UNCONSTRAINED, ConstraintMode.MOMENT_CONSTRAINED)
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, *values):
+        for v in values:
+            if isinstance(v, np.ndarray):
+                self._h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+            else:
+                self._h.update(float(v).hex().encode())
+            self._h.update(b";")
+
+    def attempt(self, fn, *args):
+        """fn(*args), or None after hashing the class of the error it raises."""
+        try:
+            return fn(*args)
+        except (DpGibbsError, ValueError) as exc:
+            self._h.update(type(exc).__name__.encode() + b";")
+            return None
+
+    def call(self, fn, *args):
+        """Hash the float or tuple of floats fn(*args) returns, or its error."""
+        out = self.attempt(fn, *args)
+        if out is not None:
+            self.add(*(out if isinstance(out, tuple) else (out,)))
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def kernels() -> str:
+    d = Digest()
+    params = np.random.default_rng(101)
+    for i in range(4000):
+        rng = np.random.default_rng(i)
+        shape = _log_uniform(params, 1e-3, 1e6)
+        rate = _log_uniform(params, 1e-3, 1e6)
+        mean = shape / rate
+        lo = mean * params.choice([0.0, 1e-6, 0.5, 0.99, 3.0, 50.0])
+        hi = lo + mean * params.choice([1e-9, 1e-3, 0.5, 2.0, math.inf])
+        d.call(sample_trunc_gamma, shape, rate, lo, hi, rng)
+        lam = rate * params.uniform(0.0, 0.999)
+        tau = mean * params.choice([-2.0, 1e-8, 0.3, 1.0, 4.0, 1e3])
+        upper = mean * params.choice([0.5, 2.0, 1e3, math.inf])
+        d.call(sample_tgm, shape, rate, lam, tau, upper, rng)
+        d.call(tgm_weights, shape, rate, lam, tau)
+        d.call(tgm_pdf, shape, rate, lam, tau, mean * params.uniform(0.01, 3.0))
+        x = mean * params.choice([1e-300, 1e-8, 0.5, 1.0, 30.0, 1e4])
+        d.call(_log_reg_inc_gamma_lower, shape, x)
+        d.call(_log_reg_inc_gamma_upper, shape, x)
+        mu, sd = params.normal(0.0, 10.0), _log_uniform(params, 1e-8, 1e3)
+        a = mu + sd * params.choice([-math.inf, -9.0, -1.0, 0.0, 2.0, 7.0])
+        width = sd * params.choice([1e-6, 0.5, 3.0, math.inf])
+        d.call(sample_trunc_normal, mu, sd, a, (a if math.isfinite(a) else mu) + width, rng)
+        d.call(sample_inverse_gaussian, _log_uniform(params, 1e-6, 1e6),
+               _log_uniform(params, 1e-6, 1e6), rng)
+        d.call(sample_laplace, mu, sd, rng)
+        n = int(params.integers(3, 10_000))
+        eps2 = params.uniform(0.01, 1.0)
+        d.call(likelihood_s2_star, params.normal(0.05, 0.1), _log_uniform(params, 1e-4, 0.25),
+               n, eps2)
+    return d.hexdigest()
+
+
+def _releases(count, seed, max_n):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(round(_log_uniform(rng, 3, max_n)))
+        limit = 2.0 * (n - 1.0) / n
+        eps1 = _log_uniform(rng, 1e-3, 10.0)
+        eps2 = rng.choice([_log_uniform(rng, 1e-3, limit), limit * (1.0 - 1e-9)])
+        ybar_star = rng.normal(0.5, rng.choice([0.05, 0.5, 3.0]))
+        s_sq_star = rng.normal(0.04, rng.choice([0.01, 0.2, 2.0]))
+        yield PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
+                             budget=Budget(eps1, float(eps2)), bounds=UNIT)
+
+
+def _draws(d: Digest, draws):
+    if draws is not None:
+        d.add(draws.mu, draws.sigma_sq, draws.ybar, draws.s_sq)
+
+
+def chain() -> str:
+    d = Digest()
+    for i, rel in enumerate(_releases(60, 202, 1e6)):
+        for prior in _PRIORS:
+            for mode in _MODES:
+                config = SamplerConfig(iters=150, seed=i, burn_in=0)
+                _draws(d, d.attempt(run_chain, rel, prior, mode, config))
+    scaled = PrivateRelease(ybar_star=34.3, s_sq_star=2224.0, n=43,
+                            budget=Budget(0.25, 0.25), bounds=Bounds(0.0, 100.0))
+    for prior in (PriorSpec.flat(), PriorSpec.conjugate(12.5, 1.0, 1.0, 14.44)):
+        for mode in _MODES:
+            _draws(d, d.attempt(run_chain, scaled, prior, mode, SamplerConfig(iters=2000, seed=3)))
+    return d.hexdigest()
+
+
+def augmented() -> str:
+    d = Digest()
+    for i, rel in enumerate(_releases(16, 303, 300)):
+        for constrained in (False, True):
+            config = SamplerConfig(iters=60, seed=i, burn_in=0)
+            _draws(d, d.attempt(run_augmented_chain, rel, constrained, config))
+    return d.hexdigest()
+
+
+def predictive() -> str:
+    d = Digest()
+    rel = PrivateRelease(ybar_star=0.3, s_sq_star=0.02, n=40, budget=Budget(0.5, 0.5),
+                         bounds=UNIT)
+    draws = run_chain(rel, PriorSpec.flat(), ConstraintMode.MOMENT_CONSTRAINED,
+                      SamplerConfig(iters=1000, seed=4))
+    for mode in PredictiveMode:
+        d.add(predictive_draws(draws, mode, Bounds(-2.0, 5.0), np.random.default_rng(5)))
+    return d.hexdigest()
+
+
+def regression() -> str:
+    d = Digest()
+    rng = np.random.default_rng(404)
+    x = rng.uniform(0.0, 10.0, 60)
+    data = ingest_and_rescale(x, 2.0 + 3.0 * x + rng.normal(0.0, 4.0, 60))
+    for seed in range(3):
+        for constrained, eps in ((False, 0.1), (False, 1.0), (True, 10.0)):
+            rel = release_regression(data, eps, np.random.default_rng(seed))
+            config = SamplerConfig(iters=300, seed=seed)
+            out = d.attempt(run_regression_chain, rel, RegPriors.default(), constrained, config)
+            if out is not None:
+                d.add(out.theta0, out.theta1, out.sigma_sq, out.stats)
+    return d.hexdigest()
+
+
+def summary() -> str:
+    d = Digest()
+    rng = np.random.default_rng(505)
+    for i in range(120):
+        t = int(_log_uniform(rng, 30, 20_000))
+        kind = i % 6
+        if kind == 0:
+            x = rng.normal(0.3, 0.1, t)
+        elif kind == 1:
+            x = np.where(rng.random(t) < 0.6, rng.normal(0.0, 1.0, t), rng.normal(4.0, 0.5, t))
+        elif kind == 2:
+            x = np.round(rng.normal(0.0, 1.0, t), 1)
+        elif kind == 3:
+            x = rng.gamma(0.7, 2.0, t)
+        elif kind == 4:
+            x = rng.standard_cauchy(t)
+        else:
+            x = 2.5 + 1e-12 * rng.standard_normal(t)
+        x = x + rng.choice([0.0, 1e6])
+        d.add(kde_mode(x))
+        iv = hpd_interval(x, rng.choice([0.5, 0.95]))
+        d.add(iv.lo, iv.hi)
+    return d.hexdigest()
+
+
+def grid() -> str:
+    scenarios = [
+        Scenario(n=n, eps1=0.5, eps2=0.5, truth_mu=mu, truth_sigma=0.2, mode=mode,
+                 prior=PriorSpec.flat(), reps=3, iters=300, base_seed=seed)
+        for n, mu, mode, seed in ((31, 0.5, "unconstrained", 1), (100, 0.2, "constrained", 2),
+                                  (40, 0.5, "likelihood", 3))
+    ]
+    return hashlib.sha256(run_grid(scenarios).encode()).hexdigest()
+
+
+def main():
+    for name, fn in (("kernels", kernels), ("chain", chain), ("augmented", augmented),
+                     ("predictive", predictive), ("regression", regression),
+                     ("summary", summary), ("grid", grid)):
+        print(f"{name:<11} {fn()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -8,10 +8,13 @@ recomputation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special as sc
 
 from dpgibbs.distributions import tgm_pdf
+from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
 
 
 def simpson_cdf_of_pdf(pdf, lo: float, hi: float, n_points: int = 20001,
@@ -135,3 +138,21 @@ def beta22_cdf(x):
     """CDF of Beta(2, 2): x^2 (3 - 2x) on [0, 1]."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return x * x * (3.0 - 2.0 * x)
+
+
+def kde_mode_reference(samples) -> float:
+    """kde_mode without the screen: the exact kernel sum at all 512 grid points."""
+    x = np.asarray(samples, dtype=float)
+    if x.size < 30:
+        raise ValueError("kde_mode needs at least 30 samples")
+    bw = _silverman_bandwidth(x)
+    if bw == 0.0 or not math.isfinite(bw):
+        return float(x[0])
+    grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, _GRID_SIZE)
+    dens = np.zeros(_GRID_SIZE)
+    inv = 1.0 / bw
+    for start in range(0, x.size, _KDE_CHUNK):
+        chunk = x[start:start + _KDE_CHUNK]
+        z = (grid[:, None] - chunk[None, :]) * inv
+        dens += np.exp(-0.5 * z * z).sum(axis=1)
+    return float(grid[int(np.argmax(dens))])  # argmax: lowest grid point on ties

@@ -285,6 +285,7 @@ MALFORMED = {
         {**SCENARIO, "prior": {"kind": "bogus"}}]})),
     "grid eps1 = 0": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "eps1": 0}]})),
     "grid n = 1": (3, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "n": 1}]})),
+    "grid iters = 5": (2, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "iters": 5}]})),
     "release JSON NaN statistic": (3, lambda w: _infer(
         w("r.json", {**RELEASE, "ybar_star": float("nan")}))),
     "release JSON n = 0": (3, lambda w: _infer(w("r.json", {**RELEASE, "n": 0}),
@@ -323,7 +324,7 @@ def test_malformed_input_exit_code(name, tmp_path):
     assert "Traceback" not in err
 
 
-_BAD_VALUES = st.sampled_from(["abc", "", None, [], {}, -1, 0, 0.5, "3.5"])
+_BAD_VALUES = st.sampled_from(["abc", "", None, [], {}, -1, 0, 0.5, 5, "3.5"])
 
 
 def _json_body(valid: dict):
@@ -398,11 +399,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fuzzed_input_never_tracebacks(command, fuzz_dir, data):
-    """Malformed files and out-of-range flags end in exit 0, 2, 3 or 4.
-
-    No grid scenario gets a positive iters below the 30 draws kde_mode
-    needs: every replication would then raise from the summaries.
-    """
+    """Malformed files and out-of-range flags end in exit 0, 2, 3 or 4."""
     files, argv = data.draw(_CASES[command])
     write = _writer(fuzz_dir)
     paths = {name: write(name, body) for name, body in files.items()}

@@ -17,6 +17,8 @@ from dpgibbs.distributions import (
     tgm_weights,
 )
 from dpgibbs.errors import SamplingError
+from scipy import special as sc
+from scipy.special import cython_special as cs
 from scipy.special import gammainc
 from dpgibbs.validation import ks_distance
 from oracles import gamma_cdf
@@ -314,3 +316,46 @@ class TestSampleLaplace:
     def test_rejects_bad_scale(self, rng):
         with pytest.raises(ValueError):
             sample_laplace(0.0, -1.0, rng)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_SHAPES = st.one_of(_decades(-3.0, 6.0), st.floats(1e-3, 1e6))
+_ARGUMENTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+                       _decades(-320.0, 308.0), st.floats(0.0, 1e3))
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0]),
+                           _decades(-300.0, 0.0), _decades(-16.0, 0.0).map(lambda e: 1.0 - e),
+                           st.floats(0.0, 1.0))
+
+
+class TestCythonSpecialMatchesUfunc:
+    """The kernels call scipy's special functions through cython_special.
+
+    The draws stay those of the ufuncs only while both paths return the
+    same bits; a scipy release that breaks this must fail here.
+    """
+
+    @pytest.mark.parametrize("name", ["gammainc", "gammaincc"])
+    @given(shape=_SHAPES, x=_ARGUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_incomplete_gamma(self, name, shape, x):
+        assert getattr(cs, name)(shape, x).hex() == float(getattr(sc, name)(shape, x)).hex()
+
+    @pytest.mark.parametrize("name", ["gammaincinv", "gammainccinv"])
+    @given(shape=_SHAPES, p=_PROBABILITIES)
+    @settings(max_examples=300, deadline=None)
+    def test_incomplete_gamma_inverse(self, name, shape, p):
+        assert getattr(cs, name)(shape, p).hex() == float(getattr(sc, name)(shape, p)).hex()
+
+    @given(a=st.one_of(_SHAPES, _ARGUMENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_gammaln(self, a):
+        assert cs.gammaln(a).hex() == float(sc.gammaln(a)).hex()
+
+    @given(p=_PROBABILITIES)
+    @settings(max_examples=300, deadline=None)
+    def test_ndtri(self, p):
+        assert cs.ndtri(p).hex() == float(sc.ndtri(p)).hex()
+
