@@ -244,7 +244,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = run_validation(inject_fault=args.inject_fault)
+    report = run_validation()
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else _EXIT_NUMERIC
 
@@ -316,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the numerical check suite")
     p.add_argument("--out", default="-")
-    p.add_argument("--inject-fault", action="store_true", dest="inject_fault",
-                   help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=cmd_validate)
     return parser
 

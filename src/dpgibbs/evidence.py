@@ -21,7 +21,7 @@ from scipy.special import cython_special as cs
 
 from .distributions import _tgm_log_weights
 from .errors import NumericalError
-from .feasible import Interval
+from .summary import IntervalEstimate
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
@@ -181,17 +181,15 @@ def flat_evidence_quadrature(s2_star: float, n: int, eps1: float,
     return EvidenceReport(closed_form=closed, quadrature=mean_part * (v1 + v2))
 
 
-def jeffreys_divergence_scan(s2_star: float, n: int, eps2: float,
-                             deltas) -> list[tuple[float, float]]:
+def jeffreys_divergence_scan(n: int, eps2: float, deltas) -> list[tuple[float, float]]:
     """Partial integrals I(delta) of the scale-prior divergence witness.
 
     I(delta) integrates (sigma_sq)^-1 L(sigma_sq) over [delta, 1], where
     L is the lower-bound integrand with constant
     k = (n-1)/(2 eps2 n): L = (eps2 n / 2) (k / (k + sigma_sq))^((n-1)/2).
     The scan must grow at least like c log(1/delta) with c = L(1); the
-    bound is uniform in s2_star, which is accepted for signature parity.
+    bound is uniform in s2_star, which is therefore not an argument.
     """
-    del s2_star
     if n < 2:
         raise ValueError("need n >= 2")
     deltas = [float(d) for d in deltas]
@@ -228,17 +226,19 @@ def laplace_uniform_matching(lam: float, x_obs: float, alpha: float) -> dict:
     Under a flat prior the posterior is Lap(x_obs, 1/lam), so the central
     credible interval is its quantile pair; the confidence interval comes
     from the pivot (location - observation) ~ Lap(0, 1/lam).  The two
-    constructions coincide endpoint for endpoint.
+    constructions coincide endpoint for endpoint.  Both intervals carry
+    mass 1 - alpha.
     """
     if lam <= 0 or not math.isfinite(x_obs) or not 0.0 < alpha < 1.0:
         raise ValueError("need lam > 0, finite x_obs, alpha in (0, 1)")
     scale = 1.0 / lam
-    credible = Interval(
+    credible = IntervalEstimate(
         _laplace_quantile(alpha / 2.0, x_obs, scale),
         _laplace_quantile(1.0 - alpha / 2.0, x_obs, scale),
+        1.0 - alpha,
     )
     pivot_lo = _laplace_quantile(alpha / 2.0, 0.0, scale)
     pivot_hi = _laplace_quantile(1.0 - alpha / 2.0, 0.0, scale)
-    confidence = Interval(x_obs + pivot_lo, x_obs + pivot_hi)
+    confidence = IntervalEstimate(x_obs + pivot_lo, x_obs + pivot_hi, 1.0 - alpha)
     diff = max(abs(credible.lo - confidence.lo), abs(credible.hi - confidence.hi))
     return {"credible": credible, "confidence": confidence, "max_endpoint_diff": diff}

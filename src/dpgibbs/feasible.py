@@ -2,15 +2,15 @@
 
 Bounded data force bounded moments: the population pair (mu, sigma_sq)
 must satisfy sigma_sq <= mu (1 - mu), and the sample pair (ybar, s_sq)
-must satisfy s_sq <= n/(n-1) ybar (1 - ybar).  The helpers here return
-the conditional intervals in each direction plus the analogous predicate
-system for simple linear regression on unit-interval variables.
+must satisfy s_sq <= n/(n-1) ybar (1 - ybar).  pair_feasible and
+stats_feasible are those predicates; the analogous predicate system for
+simple linear regression on unit-interval variables follows them.
 
 This module owns the window on a mean, ``0.5 -+ sqrt(0.25 - v)``
 (mean_window), and the ulp snap that pulls a drawn mean back inside it
 (snap_mean); the constrained samplers in gibbs.py truncate to these.
 
-All intervals are closed and the predicates use exact comparisons with
+The windows are closed and the predicates use exact comparisons with
 no epsilon slack; callers who need numerical slack must apply it
 themselves.
 """
@@ -19,19 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError("Interval requires lo <= hi")
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -65,41 +52,6 @@ def snap_mean(m: float, v: float, scale: float) -> float:
     while v > scale * m * (1.0 - m):
         m = math.nextafter(m, 0.5)
     return m
-
-
-def sigma_sq_range_given_mu(mu: float) -> Interval:
-    """Feasible sigma_sq for [0, 1] data with mean mu: [0, mu (1 - mu)]."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    return Interval(0.0, mu * (1.0 - mu))
-
-
-def mu_range_given_sigma_sq(sigma_sq: float) -> Interval:
-    """Feasible mu for [0, 1] data with variance sigma_sq."""
-    if not 0.0 <= sigma_sq <= 0.25:
-        raise ValueError(f"sigma_sq must lie in [0, 1/4], got {sigma_sq}")
-    return Interval(*mean_window(sigma_sq))
-
-
-def s_sq_range_given_ybar(ybar: float, n: int) -> Interval:
-    """Feasible sample variance given the sample mean of n values in [0, 1]."""
-    if not 0.0 <= ybar <= 1.0:
-        raise ValueError(f"ybar must lie in [0, 1], got {ybar}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return Interval(0.0, n / (n - 1.0) * ybar * (1.0 - ybar))
-
-
-def ybar_range_given_s_sq(s_sq: float, n: int) -> Interval:
-    """Feasible sample mean given the sample variance of n values in [0, 1]."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if s_sq < 0:
-        raise ValueError("s_sq must be nonnegative")
-    scaled = (n - 1.0) / n * s_sq
-    if scaled > 0.25:
-        raise ValueError(f"s_sq = {s_sq} is infeasible for n = {n}")
-    return Interval(*mean_window(scaled))
 
 
 def pair_feasible(mu: float, sigma_sq: float) -> bool:

@@ -132,7 +132,6 @@ class SamplerConfig:
     seed: int
     burn_in: int | None = None
     thin: int = 1
-    init: GibbsState | None = None
 
     def __post_init__(self):
         if self.iters <= 0:
@@ -143,13 +142,10 @@ class SamplerConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iters")
 
     @property
-    def effective_burn_in(self) -> int:
-        return self.burn_in if self.burn_in is not None else self.iters // 10
-
-    @property
     def kept(self) -> range:
         """Iterations whose state is stored: every thin-th after burn-in."""
-        return range(self.effective_burn_in, self.iters, self.thin)
+        burn_in = self.burn_in if self.burn_in is not None else self.iters // 10
+        return range(burn_in, self.iters, self.thin)
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ def clamped_release(release_unit: PrivateRelease) -> tuple[float, float]:
             min(max(release_unit.s_sq_star, _SIGMA_SQ_FLOOR), 0.25))
 
 
-def init_state(release_unit: PrivateRelease, config: SamplerConfig) -> GibbsState:
+def init_state(release_unit: PrivateRelease) -> GibbsState:
     """Starting point of the chain, from a [0, 1]-scale release.
 
     The released values are clamped into the feasible region: sigma_sq
@@ -205,8 +201,6 @@ def init_state(release_unit: PrivateRelease, config: SamplerConfig) -> GibbsStat
     """
     if not release_unit.bounds.is_unit:
         raise ValueError("init_state expects a release on the [0, 1] scale")
-    if config.init is not None:
-        return GibbsState(**vars(config.init))
     ybar, s = clamped_release(release_unit)
     n = release_unit.n
     eps1 = release_unit.budget.eps1
@@ -328,7 +322,7 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
     _require_tgm_valid(release_unit, force_sigma_constraint)
 
     rng = np.random.default_rng(config.seed)
-    state = init_state(release_unit, config)
+    state = init_state(release_unit)
     kept = config.kept
     mu = np.empty(len(kept))
     sigma_sq = np.empty(len(kept))

@@ -134,8 +134,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 
 def _grid_task(args):
-    scenario, scenario_index, rep = args
-    return scenario_index, rep, _one_rep(scenario, rep)
+    return _one_rep(*args)
 
 
 def run_grid(scenarios, parallelism: int = 1) -> str:
@@ -147,24 +146,19 @@ def run_grid(scenarios, parallelism: int = 1) -> str:
     scenarios = list(scenarios)
     if not scenarios:
         raise ConfigurationError("scenario grid is empty")
-    tasks = [(s, i, r) for i, s in enumerate(scenarios) for r in range(s.reps)]
-    per_scenario: dict[int, dict[int, CoverageRecord | None]] = {
-        i: {} for i in range(len(scenarios))
-    }
+    tasks = [(s, r) for s in scenarios for r in range(s.reps)]
     if parallelism <= 1:
-        results = map(_grid_task, tasks)
-        for i, r, rec in results:
-            per_scenario[i][r] = rec
+        records = list(map(_grid_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for i, r, rec in pool.map(_grid_task, tasks, chunksize=8):
-                per_scenario[i][r] = rec
+            records = list(pool.map(_grid_task, tasks, chunksize=8))
+    remaining = iter(records)  # in task order, from either map
 
     out = io.StringIO()
     out.write("# format_version=1\n")
     out.write(RESULT_HEADER + "\n")
-    for i, s in enumerate(scenarios):
-        res = _aggregate(s, [per_scenario[i][r] for r in range(s.reps)])
+    for s in scenarios:
+        res = _aggregate(s, [next(remaining) for _ in range(s.reps)])
         row = (
             f"{s.n},{s.eps1 + s.eps2:.17g},{s.mode},{s.prior.kind},"
             f"{s.truth_mu:.17g},{res.coverage:.17g},{res.coverage_se:.17g},"

@@ -30,11 +30,15 @@ from .gibbs import SamplerConfig
 
 _REJECTION_CAP = 1_000_000
 _CHOL_JITTER = 1e-10
+_DIFF_FLOOR = 1e-12  # least |released - imputed| statistic the noise-scale draw sees
 
 # statistic vector layout (unconstrained): count, sum x, sum x^2, sum y,
-# sum xy, sum y^2; constrained mode drops the count entry.
-_ACTIVE_PAIRS_FULL = ((0, 0), (1, 0), (1, 1))
-_ACTIVE_PAIRS_KNOWN_N = ((1, 0), (1, 1))
+# sum xy, sum y^2; constrained mode drops the count entry.  The pairs (i, j)
+# index eta = E[xx'] for the x statistics, as (i indices, j indices).
+_ACTIVE_PAIRS_FULL = (np.array([0, 1, 1]), np.array([0, 0, 1]))
+_ACTIVE_PAIRS_KNOWN_N = (np.array([1, 1]), np.array([0, 1]))
+_ZT_Z_LAYOUT = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 5]])  # [X Y]'[X Y] from the 6-vector
+_XI4_ORDER = np.indices((2, 2, 2, 2)).sum(axis=0)  # i + j + k + l: moment order of xi4
 
 
 @dataclass(frozen=True)
@@ -176,13 +180,7 @@ def moment_model_from_release(release: RegRelease) -> RegMomentModel:
     """Build (eta, xi) from the noisy raw moments of x, per-observation scale."""
     m = release.fourth_moments / release.n
     eta = np.array([[m[0], m[1]], [m[1], m[2]]])
-    xi4 = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    xi4[i, j, k, l] = m[i + j + k + l] - eta[i, j] * eta[k, l]
-    return RegMomentModel(eta=eta, xi4=xi4)
+    return RegMomentModel(eta=eta, xi4=m[_XI4_ORDER] - np.multiply.outer(eta, eta))
 
 
 def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
@@ -196,15 +194,11 @@ def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
     eta, xi4 = model.eta, model.xi4
-    pairs = _ACTIVE_PAIRS_KNOWN_N if constrained else _ACTIVE_PAIRS_FULL
+    pi, pj = _ACTIVE_PAIRS_KNOWN_N if constrained else _ACTIVE_PAIRS_FULL
     eta_theta = eta @ theta
     quad = float(theta @ eta_theta)
 
-    mu_t = np.concatenate([
-        [eta[i, j] for (i, j) in pairs],
-        eta_theta,
-        [sigma_sq + quad],
-    ])
+    mu_t = np.concatenate([eta[pi, pj], eta_theta, [sigma_sq + quad]])
 
     xi_th_l = np.einsum("ijkl,l->ijk", xi4, theta)       # contract one theta
     xi_th_jl = np.einsum("ijk,j->ik", xi_th_l, theta)
@@ -212,16 +206,14 @@ def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
     xi_th_jkl = np.einsum("ijkl,j,k,l->i", xi4, theta, theta, theta)
     xi_th_all = float(np.einsum("ijkl,i,j,k,l->", xi4, theta, theta, theta, theta))
 
-    na = len(pairs)
+    na = pi.size
     p = na + 3
     sigma = np.empty((p, p))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            sigma[a, b] = xi4[i, j, k, l]
-        sigma[a, na:na + 2] = xi_th_l[i, j, :]
-        sigma[na:na + 2, a] = xi_th_l[i, j, :]
-        sigma[a, p - 1] = xi_th_kl[i, j]
-        sigma[p - 1, a] = xi_th_kl[i, j]
+    sigma[:na, :na] = xi4[pi[:, None], pj[:, None], pi, pj]
+    sigma[:na, na:na + 2] = xi_th_l[pi, pj]
+    sigma[na:na + 2, :na] = xi_th_l[pi, pj].T
+    sigma[:na, p - 1] = xi_th_kl[pi, pj]
+    sigma[p - 1, :na] = xi_th_kl[pi, pj]
     sigma[na:na + 2, na:na + 2] = sigma_sq * eta + xi_th_jl
     cross = 2.0 * sigma_sq * eta_theta + xi_th_jkl
     sigma[na:na + 2, p - 1] = cross
@@ -256,23 +248,76 @@ def _cholesky_jittered(m: np.ndarray) -> np.ndarray:
                           {"trace": float(np.trace(m))})
 
 
-def _zt_z_psd(s: np.ndarray, n: int) -> bool:
-    b = np.array([
-        [float(n), s[0], s[2]],
-        [s[0], s[1], s[3]],
-        [s[2], s[3], s[4]],
-    ])
-    return float(np.linalg.eigvalsh(b).min()) >= 0.0
+def _zt_z(stats: np.ndarray, n: int) -> np.ndarray:
+    """[X Y]'[X Y] from the statistic vector; a 5-vector omits the known count n."""
+    if stats.size == 5:
+        stats = np.concatenate(([float(n)], stats))
+    return stats[_ZT_Z_LAYOUT]
 
 
-def _conjugate_update(xtx: np.ndarray, xty: np.ndarray, yty: float, n: int,
-                      priors: RegPriors) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _conjugate_update(xtx: np.ndarray, xty: np.ndarray, yty: float, n: int, priors: RegPriors
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(mu_n, lambda_n, lambda_n^-1, a_n, b_n) of the normal-inverse-gamma posterior."""
     lambda_n = xtx + priors.lambda0
-    mu_n = _spd_inverse(lambda_n) @ (priors.lambda0 @ priors.mu0 + xty)
+    cov_n = _spd_inverse(lambda_n)
+    mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
     a_n = priors.a0 + n / 2.0
     b_n = priors.b0 + (yty + priors.mu0 @ priors.lambda0 @ priors.mu0
                        - mu_n @ lambda_n @ mu_n) / 2.0
-    return mu_n, lambda_n, a_n, float(b_n)
+    return mu_n, lambda_n, cov_n, a_n, float(b_n)
+
+
+def _first_passing(draw, checks: dict, message: str, diagnostics):
+    """The first draw() that passes every check, run in order.
+
+    After _REJECTION_CAP draws raises StuckChainError: message is
+    formatted with the check that failed most, and the diagnostics hold
+    diagnostics(last draw), the attempt count and the fails per check.
+    """
+    fails = dict.fromkeys(checks, 0)
+    for _ in range(_REJECTION_CAP):
+        value = draw()
+        failed = next((name for name, check in checks.items() if not check(value)), None)
+        if failed is None:
+            return value
+        fails[failed] += 1
+    raise StuckChainError(message.format(worst=max(fails, key=fails.get)),
+                          {**diagnostics(value), "attempts": _REJECTION_CAP, "fails": fails})
+
+
+def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z_active
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and precision Cholesky factor of the imputed statistic vector."""
+    mu_t, sigma_t = moment_model(theta, sigma_sq, model, n, constrained)
+    model_prec = _spd_inverse(sigma_t)
+    chol_prec = _cholesky_jittered(model_prec / n + np.diag(omega_inv))  # prec = L L'
+    rhs = model_prec @ mu_t + omega_inv * z_active
+    return np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, rhs)), chol_prec
+
+
+def _coefficient_conditional(stats, n, priors, constrained, warnings
+                             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """mu_n, the Cholesky factor of lambda_n^-1, a_n and b_n from the imputed statistics.
+
+    Unconstrained statistics need not form a PSD [X Y]'[X Y], so they are
+    projected first.  A non-PD lambda_n is projected and b_n <= 0 is
+    clamped; each fallback is counted in warnings.
+    """
+    b = _zt_z(stats, n)
+    if not constrained:
+        b = nearest_psd(b)
+    xty = b[:2, 2]
+    mu_n, lambda_n, cov_n, a_n, b_n = _conjugate_update(b[:2, :2], xty, float(b[2, 2]), n,
+                                                        priors)
+    if np.linalg.eigvalsh(lambda_n).min() <= 0:
+        lambda_n = nearest_psd(lambda_n) + _CHOL_JITTER * np.eye(2)
+        warnings["lambda_psd_projected"] += 1
+        cov_n = _spd_inverse(lambda_n)
+        mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
+    if b_n <= 0.0:
+        b_n = 1e-12
+        warnings["b_n_clamped"] += 1
+    return mu_n, _cholesky_jittered(cov_n), a_n, b_n
 
 
 def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bool,
@@ -297,100 +342,48 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     # an infeasible start makes the very first imputation needlessly sticky.
     sigma_sq = min(priors.b0, 0.25) if constrained else priors.b0
     omega_inv = np.full(p, eps_q * eps_q / 2.0)
+    # the PSD check is the costlier one, so it runs only on draws that pass
+    # the inequalities
+    stats_checks = {
+        "stats": lambda s: regression_stats_feasible(*s, n),
+        "psd": lambda s: np.linalg.eigvalsh(_zt_z(s, n)).min() >= 0.0,
+    } if constrained else {}
+    theta_checks = {
+        "theta": lambda d: regression_theta_feasible(RegTheta(float(d[1][0]), float(d[1][1]))),
+    } if constrained else {}
+    precision_lo = 4.0 if constrained else 0.0  # 1/sigma_sq >= 4 is sigma_sq <= 1/4
 
     kept = config.kept
-    out_t0 = np.empty(len(kept))
-    out_t1 = np.empty(len(kept))
-    out_s2 = np.empty(len(kept))
-    out_stats = np.empty((len(kept), p))
+    out = np.empty((len(kept), p + 3))  # theta0, theta1, sigma_sq, statistics
     warnings = {"lambda_psd_projected": 0, "b_n_clamped": 0}
-
-    k = 0
     for t in range(config.iters):
-        # -- impute the statistic vector --
-        mu_t, sigma_t = moment_model(theta, sigma_sq, model, n, constrained)
-        model_prec = _spd_inverse(sigma_t)
-        prec = model_prec / n + np.diag(omega_inv)
-        chol_prec = _cholesky_jittered(prec)  # prec = L L'
-        rhs = model_prec @ mu_t + omega_inv * z_active
-        mu_3 = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, rhs))
+        mu_3, chol_prec = _statistics_conditional(theta, sigma_sq, model, n, constrained,
+                                                  omega_inv, z_active)
+        stats = _first_passing(
+            lambda: mu_3 + np.linalg.solve(chol_prec.T, rng.standard_normal(p)),
+            stats_checks, "statistic imputation stuck on the {worst} constraint",
+            lambda _: {"iteration": t})
 
-        def _draw_stats() -> np.ndarray:
-            z = rng.standard_normal(p)
-            return mu_3 + np.linalg.solve(chol_prec.T, z)
+        mu_n, chol_theta, a_n, b_n = _coefficient_conditional(stats, n, priors, constrained,
+                                                              warnings)
 
-        if not constrained:
-            stats = _draw_stats()
-        else:
-            fails = {"stats": 0, "psd": 0}
-            for attempt in range(_REJECTION_CAP):
-                stats = _draw_stats()
-                if not regression_stats_feasible(stats[0], stats[1], stats[2],
-                                                 stats[3], stats[4], n):
-                    fails["stats"] += 1
-                    continue
-                if not _zt_z_psd(stats, n):
-                    fails["psd"] += 1
-                    continue
-                break
-            else:
-                worst = max(fails, key=fails.get)
-                raise StuckChainError(
-                    f"statistic imputation stuck on the {worst} constraint",
-                    {"iteration": t, "fails": fails},
-                )
+        def draw_coefficients():
+            s2 = 1.0 / sample_trunc_gamma(a_n, b_n, precision_lo, math.inf, rng)
+            return s2, mu_n + math.sqrt(s2) * (chol_theta @ rng.standard_normal(2))
 
-        # -- conjugate (theta, sigma_sq) update from the imputed statistics --
-        if constrained:
-            xtx = np.array([[float(n), stats[0]], [stats[0], stats[1]]])
-            xty = stats[2:4].copy()
-            yty = float(stats[4])
-        else:
-            b = nearest_psd(np.array([
-                [stats[0], stats[1], stats[3]],
-                [stats[1], stats[2], stats[4]],
-                [stats[3], stats[4], stats[5]],
-            ]))
-            xtx = b[:2, :2]
-            xty = b[:2, 2].copy()
-            yty = float(b[2, 2])
-        mu_n, lambda_n, a_n, b_n = _conjugate_update(xtx, xty, yty, n, priors)
-        if np.linalg.eigvalsh(lambda_n).min() <= 0:
-            lambda_n = nearest_psd(lambda_n) + _CHOL_JITTER * np.eye(2)
-            warnings["lambda_psd_projected"] += 1
-            mu_n = _spd_inverse(lambda_n) @ (priors.lambda0 @ priors.mu0 + xty)
-        if b_n <= 0.0:
-            b_n = 1e-12
-            warnings["b_n_clamped"] += 1
-        chol_theta = _cholesky_jittered(_spd_inverse(lambda_n))
-        if not constrained:
-            sigma_sq = 1.0 / sample_trunc_gamma(a_n, b_n, 0.0, math.inf, rng)
-            theta = mu_n + math.sqrt(sigma_sq) * (chol_theta @ rng.standard_normal(2))
-        else:
-            for attempt in range(_REJECTION_CAP):
-                sigma_sq = 1.0 / sample_trunc_gamma(a_n, b_n, 4.0, math.inf, rng)
-                theta = mu_n + math.sqrt(sigma_sq) * (chol_theta @ rng.standard_normal(2))
-                if regression_theta_feasible(RegTheta(float(theta[0]), float(theta[1]))):
-                    break
-            else:
-                raise StuckChainError(
-                    "coefficient update stuck on the theta feasibility constraint",
-                    {"iteration": t, "mu_n": mu_n.tolist(), "sigma_sq": sigma_sq},
-                )
+        sigma_sq, theta = _first_passing(
+            draw_coefficients, theta_checks,
+            "coefficient update stuck on the theta feasibility constraint",
+            lambda last: {"iteration": t, "mu_n": mu_n.tolist(), "sigma_sq": last[0]})
 
         # -- per-query noise scales --
         for j in range(p):
-            diff = abs(z_active[j] - stats[j])
-            if diff < 1e-12:
-                diff = 1e-12
+            diff = max(abs(z_active[j] - stats[j]), _DIFF_FLOOR)
             omega_inv[j] = sample_inverse_gaussian(eps_q / diff, eps_q * eps_q, rng)
 
         if t in kept:
-            out_t0[k] = theta[0]
-            out_t1[k] = theta[1]
-            out_s2[k] = sigma_sq
-            out_stats[k] = stats
-            k += 1
+            out[kept.index(t)] = np.concatenate((theta, [sigma_sq], stats))
 
-    return RegressionDraws(theta0=out_t0, theta1=out_t1, sigma_sq=out_s2,
-                           stats=out_stats, config=config, warnings=warnings)
+    return RegressionDraws(theta0=out[:, 0].copy(), theta1=out[:, 1].copy(),
+                           sigma_sq=out[:, 2].copy(), stats=out[:, 3:].copy(),
+                           config=config, warnings=warnings)

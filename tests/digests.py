@@ -16,7 +16,9 @@ of the error raised, for a fixed list of seeded inputs:
   outside [0, 1];
 - augmented: run_augmented_chain, constrained and unconstrained;
 - predictive: the three predictive modes;
-- regression: run_regression_chain in both modes;
+- regression: run_regression_chain in both modes, plus the demo data
+  under a near-singular prior (lambda0 = 1e-30 I) that makes the chain
+  project lambda_n; the warnings counts are hashed too;
 - summary: kde_mode and hpd_interval on mixed samples;
 - grid: a small run_grid.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dpgibbs.augmented import run_augmented_chain  # noqa: E402
+from dpgibbs.cli import _read_csv  # noqa: E402
 from dpgibbs.distributions import (  # noqa: E402
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
@@ -194,13 +198,19 @@ def regression() -> str:
     rng = np.random.default_rng(404)
     x = rng.uniform(0.0, 10.0, 60)
     data = ingest_and_rescale(x, 2.0 + 3.0 * x + rng.normal(0.0, 4.0, 60))
-    for seed in range(3):
-        for constrained, eps in ((False, 0.1), (False, 1.0), (True, 10.0)):
-            rel = release_regression(data, eps, np.random.default_rng(seed))
-            config = SamplerConfig(iters=300, seed=seed)
-            out = d.attempt(run_regression_chain, rel, RegPriors.default(), constrained, config)
-            if out is not None:
-                d.add(out.theta0, out.theta1, out.sigma_sq, out.stats)
+    runs = [(data, RegPriors.default(), constrained, eps, SamplerConfig(iters=300, seed=seed), seed)
+            for seed in range(3)
+            for constrained, eps in ((False, 0.1), (False, 1.0), (True, 10.0))]
+    _, (x, y) = _read_csv(str(resources.files("dpgibbs").joinpath("data/demo_regression.csv")), 2)
+    near_singular = RegPriors(mu0=np.array([1.0, 0.0]), lambda0=1e-30 * np.eye(2), a0=20.0, b0=0.5)
+    runs.append((ingest_and_rescale(x, y), near_singular, False, 0.1,
+                 SamplerConfig(iters=500, seed=0, burn_in=0), 0))
+    for data, priors, constrained, eps, config, seed in runs:
+        rel = release_regression(data, eps, np.random.default_rng(seed))
+        out = d.attempt(run_regression_chain, rel, priors, constrained, config)
+        if out is not None:
+            d.add(out.theta0, out.theta1, out.sigma_sq, out.stats,
+                  *(count for _, count in sorted(out.warnings.items())))
     return d.hexdigest()
 
 

@@ -121,22 +121,21 @@ class TestJeffreysScan:
         n, eps2 = 10, 0.1
         k = (n - 1) / (2.0 * eps2 * n)
         c = eps2 * n / 2.0 * (k / (k + 1.0)) ** ((n - 1) / 2.0)
-        for delta, integral in jeffreys_divergence_scan(0.04, n, eps2,
-                                                        (1e-2, 1e-4, 1e-6)):
+        for delta, integral in jeffreys_divergence_scan(n, eps2, (1e-2, 1e-4, 1e-6)):
             assert integral >= 0.9 * c * math.log(1.0 / delta)
 
     def test_strictly_increasing_as_delta_shrinks(self):
-        scan = jeffreys_divergence_scan(0.0, 10, 0.1, (1e-1, 1e-3, 1e-5))
+        scan = jeffreys_divergence_scan(10, 0.1, (1e-1, 1e-3, 1e-5))
         vals = [v for _, v in scan]
         assert vals[0] < vals[1] < vals[2]
 
     def test_empty_interval_is_zero(self):
-        (_, val), = jeffreys_divergence_scan(0.0, 10, 0.1, (1.0,))
+        (_, val), = jeffreys_divergence_scan(10, 0.1, (1.0,))
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nondecreasing_deltas(self):
         with pytest.raises(ValueError):
-            jeffreys_divergence_scan(0.0, 10, 0.1, (1e-3, 1e-2))
+            jeffreys_divergence_scan(10, 0.1, (1e-3, 1e-2))
 
 
 class TestLaplaceUniformMatching:
@@ -144,6 +143,7 @@ class TestLaplaceUniformMatching:
         rep = laplace_uniform_matching(1.0, 0.0, 0.05)
         assert rep["credible"].lo == pytest.approx(math.log(0.05), rel=1e-12)
         assert rep["credible"].hi == pytest.approx(-math.log(0.05), rel=1e-12)
+        assert rep["credible"].mass == rep["confidence"].mass == pytest.approx(0.95)
         assert rep["max_endpoint_diff"] <= 1e-12
 
     def test_alpha_near_one_collapses_to_observation(self):

@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgibbs.feasible import (
-    Interval,
     RegTheta,
-    mu_range_given_sigma_sq,
+    mean_window,
     pair_feasible,
     regression_stats_feasible,
     regression_theta_feasible,
-    s_sq_range_given_ybar,
-    sigma_sq_range_given_mu,
     stats_feasible,
-    ybar_range_given_s_sq,
 )
 from dpgibbs.validation import ks_distance
 from oracles import beta22_cdf
@@ -24,75 +20,73 @@ from oracles import beta22_cdf
 
 class TestParameterBounds:
     def test_center_gives_quarter(self):
-        assert sigma_sq_range_given_mu(0.5) == Interval(0.0, 0.25)
+        assert pair_feasible(0.5, 0.25)
+        assert not pair_feasible(0.5, math.nextafter(0.25, 1.0))
 
     def test_degenerate_endpoints(self):
-        assert sigma_sq_range_given_mu(0.0) == Interval(0.0, 0.0)
-        assert sigma_sq_range_given_mu(1.0) == Interval(0.0, 0.0)
+        for mu in (0.0, 1.0):
+            assert pair_feasible(mu, 0.0)
+            assert not pair_feasible(mu, math.ulp(0.0))
 
     def test_off_center(self):
-        assert sigma_sq_range_given_mu(0.1).hi == pytest.approx(0.09)
+        assert pair_feasible(0.1, 0.09 - 1e-12)
+        assert not pair_feasible(0.1, 0.09 + 1e-12)
 
     def test_mu_range_boundary_collapse(self):
-        assert mu_range_given_sigma_sq(0.25) == Interval(0.5, 0.5)
+        assert mean_window(0.25) == (0.5, 0.5)
 
     def test_mu_range_zero_variance(self):
-        assert mu_range_given_sigma_sq(0.0) == Interval(0.0, 1.0)
+        assert mean_window(0.0) == (0.0, 1.0)
 
     def test_mu_range_inverts_sigma_bound(self):
-        iv = mu_range_given_sigma_sq(0.09)
-        assert iv.lo == pytest.approx(0.1)
-        assert iv.hi == pytest.approx(0.9)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_sq_range_given_mu(1.2)
-        with pytest.raises(ValueError):
-            mu_range_given_sigma_sq(0.26)
+        lo, hi = mean_window(0.09)
+        assert lo == pytest.approx(0.1)
+        assert hi == pytest.approx(0.9)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_inverse_pair_property(self, mu):
-        # boundary consistency; the interval is exact, so the caller-side
+        # boundary consistency; the window is exact, so the caller-side
         # slack for sqrt rounding is applied explicitly here
-        hi = sigma_sq_range_given_mu(mu).hi
-        iv = mu_range_given_sigma_sq(min(hi, 0.25))
-        assert iv.lo - 1e-12 <= mu <= iv.hi + 1e-12
+        cap = mu * (1.0 - mu)
+        assert pair_feasible(mu, cap)
+        lo, hi = mean_window(min(cap, 0.25))
+        assert lo - 1e-12 <= mu <= hi + 1e-12
 
 
 class TestStatisticBounds:
     def test_two_point_dataset_attains_bound(self):
-        iv = s_sq_range_given_ybar(0.5, 2)
         data = np.array([0.0, 1.0])
-        assert iv.hi == pytest.approx(float(data.var(ddof=1)))
+        s_sq = float(data.var(ddof=1))
         assert data.mean() == 0.5
+        assert stats_feasible(0.5, s_sq, 2)
+        assert not stats_feasible(0.5, math.nextafter(s_sq, 1.0), 2)
 
     def test_degenerate_mean(self):
         for n in (2, 5, 100):
-            assert s_sq_range_given_ybar(0.0, n) == Interval(0.0, 0.0)
+            assert stats_feasible(0.0, 0.0, n)
+            assert not stats_feasible(0.0, math.ulp(0.0), n)
 
     def test_large_n_limit(self):
-        assert s_sq_range_given_ybar(0.5, 10 ** 9).hi == pytest.approx(0.25, abs=1e-8)
+        assert stats_feasible(0.5, 0.25, 10 ** 9)
+        assert not stats_feasible(0.5, 0.25 + 1e-8, 10 ** 9)
 
     def test_ybar_range_zero_variance(self):
-        assert ybar_range_given_s_sq(0.0, 7) == Interval(0.0, 1.0)
+        assert mean_window((7 - 1.0) / 7 * 0.0) == (0.0, 1.0)
 
     def test_ybar_range_boundary(self):
         n = 11
-        assert ybar_range_given_s_sq(n / (n - 1.0) * 0.25, n) == Interval(0.5, 0.5)
-
-    def test_infeasible_s_sq_rejected(self):
-        with pytest.raises(ValueError):
-            ybar_range_given_s_sq(0.3, 100)
+        assert mean_window((n - 1.0) / n * (n / (n - 1.0) * 0.25)) == (0.5, 0.5)
 
     @given(st.floats(0.5, 1.0), st.integers(2, 60))
     @settings(max_examples=150, deadline=None)
     def test_round_trip_upper_branch(self, ybar, n):
-        hi = s_sq_range_given_ybar(ybar, n).hi
+        hi = n / (n - 1.0) * ybar * (1.0 - ybar)
+        assert stats_feasible(ybar, hi, n)
         # rounding may push the bound a few ulps past exact feasibility
         while (n - 1.0) / n * hi > 0.25:
             hi = math.nextafter(hi, 0.0)
-        assert ybar_range_given_s_sq(hi, n).hi == pytest.approx(ybar, abs=1e-7)
+        assert mean_window((n - 1.0) / n * hi)[1] == pytest.approx(ybar, abs=1e-7)
 
     def test_enumeration_oracle_small_datasets(self):
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -102,7 +96,8 @@ class TestStatisticBounds:
                 ybar = float(y.mean())
                 s_sq = float(y.var(ddof=1))
                 assert stats_feasible(ybar, s_sq, n)
-                assert s_sq <= s_sq_range_given_ybar(ybar, n).hi + 1e-12
+                lo, hi = mean_window(min((n - 1.0) / n * s_sq, 0.25))
+                assert lo - 1e-12 <= ybar <= hi + 1e-12
                 # sample variance respects the population cap up to the n/(n-1) factor
                 assert s_sq <= 0.25 * n / (n - 1.0) + 1e-12
 
@@ -171,13 +166,3 @@ class TestInducedMarginal:
             accepted[count:count + take] = mu[keep][:take]
             count += take
         assert ks_distance(accepted, beta22_cdf) < 0.02
-
-
-class TestInterval:
-    def test_requires_order(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_contains(self):
-        iv = Interval(0.0, 1.0)
-        assert iv.contains(0.0) and iv.contains(1.0) and not iv.contains(1.1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgibbs.gibbs as gibbs
+from dpgibbs.augmented import run_augmented_chain
 from dpgibbs.distributions import sample_tgm
 from dpgibbs.errors import ConfigurationError, DpGibbsError
 from dpgibbs.feasible import pair_feasible, stats_feasible
@@ -38,36 +39,29 @@ def unit_release(ybar_star=0.43, s_sq_star=0.28 ** 2, n=50, eps1=0.25, eps2=0.25
 class TestInitState:
     def test_negative_released_variance_gets_floor(self):
         rel = unit_release(s_sq_star=-0.3)
-        state = init_state(rel, SamplerConfig(iters=10, seed=0))
+        state = init_state(rel)
         assert state.sigma_sq == 1e-4
         assert state.s_sq == 1e-4
 
     def test_released_mean_clamped_to_unit(self):
-        state = init_state(unit_release(ybar_star=1.7), SamplerConfig(iters=10, seed=0))
+        state = init_state(unit_release(ybar_star=1.7))
         assert state.ybar == 1.0
-        state = init_state(unit_release(ybar_star=-0.2), SamplerConfig(iters=10, seed=0))
+        state = init_state(unit_release(ybar_star=-0.2))
         assert state.ybar == 0.0
 
     def test_in_range_values_pass_through(self):
-        state = init_state(unit_release(ybar_star=0.4, s_sq_star=0.02),
-                           SamplerConfig(iters=10, seed=0))
+        state = init_state(unit_release(ybar_star=0.4, s_sq_star=0.02))
         assert state.ybar == 0.4
         assert state.sigma_sq == 0.02
 
     def test_large_variance_capped_at_quarter(self):
-        state = init_state(unit_release(s_sq_star=0.9), SamplerConfig(iters=10, seed=0))
+        state = init_state(unit_release(s_sq_star=0.9))
         assert state.sigma_sq == 0.25
 
     def test_omega_initialization(self):
         rel = unit_release(n=43, eps1=0.25)
-        state = init_state(rel, SamplerConfig(iters=10, seed=0))
+        state = init_state(rel)
         assert state.omega_sq_inv == pytest.approx(0.25 ** 2 * 43 ** 2 / 2.0)
-
-    def test_explicit_override(self):
-        override = GibbsState(mu=0.3, sigma_sq=0.01, ybar=0.3, s_sq=0.01,
-                              omega_sq_inv=5.0)
-        cfg = SamplerConfig(iters=10, seed=0, init=override)
-        assert init_state(unit_release(), cfg) == override
 
 
 class TestGibbsStep:
@@ -110,7 +104,7 @@ class TestGibbsStep:
     def test_footnote_region_always_enforced(self):
         rel = unit_release(n=20, eps2=1.5)
         cap = (20 - 1) / (2 * 20 * 1.5)
-        state = init_state(rel, SamplerConfig(iters=10, seed=0))
+        state = init_state(rel)
         rng = np.random.default_rng(3)
         for _ in range(500):
             state = gibbs_step(state, rel, PriorSpec.flat(),
@@ -119,7 +113,7 @@ class TestGibbsStep:
 
     def test_constrained_step_preserves_feasibility(self):
         rel = unit_release()
-        state = init_state(rel, SamplerConfig(iters=10, seed=0))
+        state = init_state(rel)
         rng = np.random.default_rng(4)
         for _ in range(500):
             state = gibbs_step(state, rel, PriorSpec.flat(),
@@ -196,6 +190,49 @@ class TestConditionalEdges:
             assert pair_feasible(mu_new, sigma_sq)
 
 
+def _log_uniform(lo, hi):
+    return st.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
+
+
+class TestExtremeRegimes:
+    """Whole chains at n from 3 to 10**6, eps from 1e-4 up to the
+    2(n-1)/n limit and releases far outside [0, 1]: every draw is finite
+    and every constrained draw feasible, or the sampler raises a
+    DpGibbsError."""
+
+    @given(_log_uniform(3.0, 1e6), _log_uniform(1e-4, 10.0), st.floats(0.0, 1.0),
+           st.floats(-3.0, 4.0), st.floats(-1.0, 2.0), st.sampled_from(EDGE_PRIORS),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_chains_finite_and_feasible(self, n_real, eps1, eps2_share, ybar_star, s_sq_star,
+                                        prior, seed):
+        n = min(max(round(n_real), 3), 10 ** 6)
+        eps2 = 1e-4 * (2.0 * (n - 1.0) / n * (1.0 - 1e-9) / 1e-4) ** eps2_share
+        rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
+                             budget=Budget(eps1, eps2), bounds=UNIT)
+        for mode in ConstraintMode:
+            constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+            self._check(lambda: run_chain(rel, prior, mode,
+                                          SamplerConfig(iters=40, seed=seed, burn_in=0)),
+                        constrained, n)
+            if n <= 300:
+                self._check(lambda: run_augmented_chain(
+                    rel, constrained, SamplerConfig(iters=20, seed=seed, burn_in=0),
+                    prior=prior), constrained, n)
+
+    @staticmethod
+    def _check(run, constrained, n):
+        try:
+            draws = run()
+        except DpGibbsError:
+            return
+        for col in (draws.mu, draws.sigma_sq, draws.ybar, draws.s_sq):
+            assert np.isfinite(col).all()
+        if constrained:
+            assert all(pair_feasible(m, v) for m, v in zip(draws.mu, draws.sigma_sq))
+            assert all(stats_feasible(y, s, n) for y, s in zip(draws.ybar, draws.s_sq))
+
+
 class TestRunChain:
     def test_eps2_too_large_rejected(self):
         rel = unit_release(n=20, eps2=2.0)  # 2(n-1)/n = 1.9
@@ -225,7 +262,7 @@ class TestRunChain:
 
     def test_default_burn_in_is_ten_percent(self):
         cfg = SamplerConfig(iters=1000, seed=1)
-        assert cfg.effective_burn_in == 100
+        assert cfg.kept.start == 100
 
     def test_seed_determinism(self):
         rel = unit_release()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -156,6 +157,29 @@ class TestMomentModel:
         # every block involving y vanishes with theta = 0 and sigma_sq -> 0
         assert np.abs(sigma_t[3:, :]).max() < 1e-10
 
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_index_tables_match_loop_reference(self, constrained, monkeypatch):
+        # element for element the same arithmetic as the loops they replace
+        rel = release_regression(demo_data(), 0.1, np.random.default_rng(3))
+        model = moment_model_from_release(rel)
+        m, eta, xi4 = rel.fourth_moments / rel.n, model.eta, model.xi4
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            assert xi4[i, j, k, l] == m[i + j + k + l] - eta[i, j] * eta[k, l]
+        theta = np.array([0.3, 0.4])
+        monkeypatch.setattr(reg, "nearest_psd", lambda a: a)
+        mu_t, sigma = moment_model(theta, 0.02, model, rel.n, constrained)
+        xi_th_l = np.einsum("ijkl,l->ijk", xi4, theta)
+        xi_th_kl = np.einsum("ijkl,k,l->ij", xi4, theta, theta)
+        pairs = ((1, 0), (1, 1)) if constrained else ((0, 0), (1, 0), (1, 1))
+        na = len(pairs)
+        for a, (i, j) in enumerate(pairs):
+            assert mu_t[a] == eta[i, j]
+            for b, (k, l) in enumerate(pairs):
+                assert sigma[a, b] == xi4[i, j, k, l]
+            assert (sigma[a, na:na + 2] == xi_th_l[i, j]).all()
+            assert (sigma[na:na + 2, a] == xi_th_l[i, j]).all()
+            assert sigma[a, -1] == sigma[-1, a] == xi_th_kl[i, j]
+
     def test_covariance_matches_empirical_moments(self):
         # per-observation covariance of (x, x^2, y, xy, y^2) under the model,
         # checked against a brute-force Monte Carlo at fixed theta, sigma_sq
@@ -187,10 +211,11 @@ class TestConjugateUpdate:
         xtx = np.array([[46.0, 20.0], [20.0, 12.0]])
         xty = np.array([22.0, 11.0])
         yty = 14.0
-        mu_n, lambda_n, a_n, b_n = _conjugate_update(xtx, xty, yty, 46, priors)
+        mu_n, lambda_n, cov_n, a_n, b_n = _conjugate_update(xtx, xty, yty, 46, priors)
         lam_expected = xtx + priors.lambda0
         mu_expected = np.linalg.solve(lam_expected, priors.lambda0 @ priors.mu0 + xty)
         np.testing.assert_allclose(lambda_n, lam_expected)
+        np.testing.assert_allclose(cov_n, np.linalg.inv(lam_expected), rtol=1e-9)
         np.testing.assert_allclose(mu_n, mu_expected, rtol=1e-9)
         assert a_n == pytest.approx(priors.a0 + 23.0)
         assert b_n == pytest.approx(
@@ -205,7 +230,7 @@ class TestConjugateUpdate:
         x, y = data.x, data.y
         xtx = np.array([[data.n, x.sum()], [x.sum(), (x * x).sum()]])
         xty = np.array([y.sum(), (x * y).sum()])
-        mu_n, _, _, _ = _conjugate_update(xtx, xty, float((y * y).sum()),
+        mu_n, _, _, _, _ = _conjugate_update(xtx, xty, float((y * y).sum()),
                                           data.n, RegPriors.default())
         from dpgibbs.summary import mc_se
 
@@ -272,8 +297,25 @@ class TestRegressionChain:
         with pytest.raises(StuckChainError) as err:
             run_regression_chain(rel, RegPriors.default(), True,
                                  SamplerConfig(iters=2000, seed=11, burn_in=0))
-        assert "constraint" in str(err.value)
-        assert "iteration" in err.value.diagnostics
+        assert "statistic imputation stuck" in str(err.value)
+        diag = err.value.diagnostics
+        assert "iteration" in diag
+        assert diag["attempts"] == 20_000
+        assert set(diag["fails"]) == {"stats", "psd"}
+        assert sum(diag["fails"].values()) == diag["attempts"]
+
+    def test_stuck_coefficient_update_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(reg, "_REJECTION_CAP", 50)
+        monkeypatch.setattr(reg, "regression_theta_feasible", lambda theta: False)
+        rel = release_regression(demo_data(), 10.0, np.random.default_rng(0))
+        with pytest.raises(StuckChainError) as err:
+            run_regression_chain(rel, RegPriors.default(), True,
+                                 SamplerConfig(iters=10, seed=0, burn_in=0))
+        assert "theta feasibility" in str(err.value)
+        diag = err.value.diagnostics
+        assert diag["iteration"] == 0
+        assert len(diag["mu_n"]) == 2 and 0.0 < diag["sigma_sq"] <= 0.25
+        assert diag["attempts"] == 50 and diag["fails"] == {"theta": 50}
 
     def test_release_shape_validation(self):
         with pytest.raises(ValueError):
