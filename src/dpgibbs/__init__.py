@@ -5,11 +5,9 @@ from .release import (
     Budget,
     GaussianSummary,
     PrivateRelease,
-    from_unit_release,
     release,
     sensitivities,
     summarize,
-    to_unit_scale,
 )
 from .gibbs import (
     ConstraintMode,
@@ -49,7 +47,6 @@ __all__ = [
     "SamplerConfig",
     "coverage_aggregate",
     "ess",
-    "from_unit_release",
     "gibbs_step",
     "hpd_interval",
     "init_state",
@@ -63,7 +60,6 @@ __all__ = [
     "run_chain",
     "sensitivities",
     "summarize",
-    "to_unit_scale",
 ]
 
 __version__ = "0.1.0"

@@ -32,10 +32,10 @@ from .gibbs import (
     PosteriorDraws,
     PriorSpec,
     SamplerConfig,
+    check_config,
     clamped_release,
     draw_mu,
     draw_sigma_sq,
-    unit_inputs,
 )
 from .release import PrivateRelease
 
@@ -138,7 +138,8 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
     (mu, sigma_sq) inside the feasible parameter region, with the flat
     prior read as proper and uniform over that region.
     """
-    release_unit, prior_unit = unit_inputs(release, prior)
+    check_config(release.n, release.budget.eps2, prior, False)
+    release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)
 
     rng = np.random.default_rng(config.seed)
     state = _init_augmented(release_unit, rng)

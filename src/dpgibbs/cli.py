@@ -19,7 +19,8 @@ import numpy as np
 
 from . import harness
 from .augmented import run_augmented_chain
-from .errors import ConfigurationError, DpGibbsError, NumericalError, ValidationError
+from .errors import (ConfigurationError, DpGibbsError, NumericalError, SamplingError,
+                     ValidationError)
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .regression import RegPriors, ingest_and_rescale, release_regression, \
     run_regression_chain
@@ -149,14 +150,10 @@ def cmd_infer(args) -> int:
                 else ConstraintMode.UNCONSTRAINED)
         draws = run_chain(rel, prior, mode, config,
                           force_sigma_constraint=args.force_sigma_constraint)
-    w = rel.bounds.width
-    a = rel.bounds.a
-    _write_text(args.out, _format_draws_csv({
-        "mu": a + w * draws.mu,
-        "sigma_sq": w * w * draws.sigma_sq,
-        "ybar": a + w * draws.ybar,
-        "s_sq": w * w * draws.s_sq,
-    }))
+    mu, sigma_sq = rel.bounds.from_unit(draws.mu, draws.sigma_sq)
+    ybar, s_sq = rel.bounds.from_unit(draws.ybar, draws.s_sq)
+    _write_text(args.out, _format_draws_csv({"mu": mu, "sigma_sq": sigma_sq,
+                                             "ybar": ybar, "s_sq": s_sq}))
     return 0
 
 
@@ -178,6 +175,8 @@ def cmd_regress(args) -> int:
     with _invalid(ConfigurationError, "bad --iters/--burn-in"):
         config = SamplerConfig(iters=args.iters, seed=chain_seed, burn_in=args.burn_in)
     draws = run_regression_chain(rel, priors, args.constrained, config)
+    if any(draws.warnings.values()):
+        print(f"warning: fallback counts {json.dumps(draws.warnings)}", file=sys.stderr)
     _write_text(args.out, _format_draws_csv({
         "theta0": draws.theta0,
         "theta1": draws.theta1,
@@ -326,6 +325,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DpGibbsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SamplingError) and exc.diagnostics:
+            print(json.dumps(exc.diagnostics, default=str), file=sys.stderr)
         if isinstance(exc, ConfigurationError):
             return _EXIT_USAGE
         return _EXIT_NUMERIC if isinstance(exc, NumericalError) else _EXIT_DATA

@@ -4,8 +4,9 @@ The sampler operates entirely on the [0, 1] scale.  One sweep updates,
 in this fixed order: mu, sigma_sq, ybar, s_sq, omega_sq_inv.  The full
 conditionals are
 
-  mu       normal (flat prior) or precision-weighted normal (conjugate
-           prior), truncated to the feasible mu-window in constrained mode;
+  mu       precision-weighted normal (the flat prior is the conjugate
+           prior's kappa0 = 0 limit), truncated to the feasible mu-window
+           in constrained mode;
   sigma_sq inverse gamma, always truncated below (n-1)/(2 n eps2) so the
            s_sq conditional stays a valid truncated gamma mixture, and
            additionally below mu (1 - mu) in constrained mode;
@@ -29,7 +30,7 @@ variate kernels from distributions.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -62,31 +63,43 @@ class PredictiveMode(Enum):
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Flat or conjugate normal-inverse-gamma prior on (mu, sigma_sq).
+    """Normal-inverse-gamma prior on (mu, sigma_sq), or its flat limit.
 
-    Conjugate hyperparameters are given on the original data scale and
-    are rescaled internally together with the release.
+    The conjugate ("nig") prior is
+
+        mu | sigma_sq ~ N(mu0, sigma_sq / kappa0),
+        sigma_sq ~ Inv-chi^2(nu0, sigma0_sq) = Inv-Gamma(nu0/2, nu0 sigma0_sq/2),
+
+    so p(mu, sigma_sq) is proportional to
+    sigma^-1 (sigma_sq)^-(nu0/2 + 1) exp(-(nu0 sigma0_sq + kappa0 (mu - mu0)^2) / (2 sigma_sq)),
+    with finite mu0 and positive kappa0, nu0, sigma0_sq.  The flat prior
+    p(mu, sigma_sq) proportional to 1 is the limit kappa0 = 0, nu0 = -3,
+    sigma0_sq = 0 of that density (Gelman et al., Bayesian Data Analysis,
+    3rd ed., sections 3.2-3.3); those are the defaults, and a "flat" spec
+    with any other kappa0, nu0 or sigma0_sq is rejected.  At kappa0 = 0
+    mu0 carries no weight, so a flat spec takes any finite mu0.
+
+    Hyperparameters are given on the original data scale and are
+    rescaled internally together with the release.
     """
 
     kind: str  # "flat" | "nig"
     mu0: float = 0.0
     kappa0: float = 0.0
-    nu0: float = 0.0
+    nu0: float = -3.0
     sigma0_sq: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("flat", "nig"):
+        if self.kind == "flat":
+            if (self.kappa0, self.nu0, self.sigma0_sq) != (0.0, -3.0, 0.0):
+                raise ValueError("the flat prior has kappa0 = 0, nu0 = -3, sigma0_sq = 0")
+        elif self.kind == "nig":
+            if not (self.kappa0 > 0 and self.nu0 > 0 and self.sigma0_sq > 0):
+                raise ValueError("conjugate prior needs positive kappa0, nu0, sigma0_sq")
+        else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "nig":
-            ok = (
-                math.isfinite(self.mu0)
-                and self.kappa0 > 0
-                and self.nu0 > 0
-                and self.sigma0_sq > 0
-            )
-            if not ok:
-                raise ValueError("conjugate prior needs finite mu0 and positive "
-                                 "kappa0, nu0, sigma0_sq")
+        if not math.isfinite(self.mu0):
+            raise ValueError("a prior needs a finite mu0")
 
     @classmethod
     def flat(cls) -> "PriorSpec":
@@ -99,16 +112,8 @@ class PriorSpec:
 
     def to_unit(self, bounds: Bounds) -> "PriorSpec":
         """Rescale the location/scale hyperparameters onto [0, 1]."""
-        if self.kind == "flat" or bounds.is_unit:
-            return self
-        w = bounds.width
-        return PriorSpec(
-            kind="nig",
-            mu0=(self.mu0 - bounds.a) / w,
-            kappa0=self.kappa0,
-            nu0=self.nu0,
-            sigma0_sq=self.sigma0_sq / (w * w),
-        )
+        mu0, sigma0_sq = bounds.to_unit(self.mu0, self.sigma0_sq)
+        return replace(self, mu0=mu0, sigma0_sq=sigma0_sq)
 
 
 @dataclass
@@ -163,27 +168,24 @@ class PosteriorDraws:
         return self.mu.size
 
 
-def _require_tgm_valid(release_unit: PrivateRelease, force_sigma_constraint: bool):
-    n = release_unit.n
-    eps2 = release_unit.budget.eps2
-    if eps2 < 2.0 * (n - 1.0) / n or force_sigma_constraint:
-        return
-    raise ConfigurationError(
-        f"eps2 = {eps2} >= 2(n-1)/n = {2.0 * (n - 1.0) / n}: the bounded-data "
-        "guarantee sigma_sq <= 1/4 no longer implies the rate condition of the "
-        "s_sq full conditional. Re-run with force_sigma_constraint=True to impose "
-        "sigma_sq < (n-1)/(2 n eps2) as an explicit modeling assumption."
-    )
+def check_config(n: int, eps2: float, prior: PriorSpec, collapsed: bool,
+                 force_sigma_constraint: bool = False):
+    """Raise ConfigurationError for a run the model cannot support.
 
-
-def unit_inputs(release: PrivateRelease, prior: PriorSpec
-                ) -> tuple[PrivateRelease, PriorSpec]:
-    """The release and prior on the [0, 1] scale, checking n for the flat prior."""
-    release_unit = release.to_unit()
-    prior_unit = prior.to_unit(release.bounds)
-    if prior_unit.kind == "flat" and release.n < 3:
+    The flat prior needs n >= 3 for a proper posterior.  The collapsed
+    sampler (collapsed=True) needs eps2 < 2(n-1)/n for its s_sq full
+    conditional, unless force_sigma_constraint imposes the cap
+    sigma_sq < (n-1)/(2 n eps2); the latent-value sampler has no such limit.
+    """
+    if prior.kind == "flat" and n < 3:
         raise ConfigurationError("the flat prior needs n >= 3")
-    return release_unit, prior_unit
+    if collapsed and not (eps2 < 2.0 * (n - 1.0) / n or force_sigma_constraint):
+        raise ConfigurationError(
+            f"eps2 = {eps2} >= 2(n-1)/n = {2.0 * (n - 1.0) / n}: the bounded-data "
+            "guarantee sigma_sq <= 1/4 no longer implies the rate condition of the "
+            "s_sq full conditional. Re-run with force_sigma_constraint=True to impose "
+            "sigma_sq < (n-1)/(2 n eps2) as an explicit modeling assumption."
+        )
 
 
 def clamped_release(release_unit: PrivateRelease) -> tuple[float, float]:
@@ -217,15 +219,13 @@ def draw_mu(ybar: float, sigma_sq: float, n: int, prior: PriorSpec,
             constrained: bool, rng: Generator) -> float:
     """mu | ybar, sigma_sq: normal, truncated to mean_window(sigma_sq) if constrained.
 
-    At sigma_sq >= 1/4 the window is the single point 1/2, which is
-    returned without consuming a draw.
+    The normal is N(ybar + kappa0 (mu0 - ybar)/(n + kappa0), sigma_sq/(n + kappa0)),
+    which is N(ybar, sigma_sq/n) under the flat prior (kappa0 = 0).  At
+    sigma_sq >= 1/4 the window is the single point 1/2, which is returned
+    without consuming a draw.
     """
-    if prior.kind == "flat":
-        mean = ybar
-        sd = math.sqrt(sigma_sq / n)
-    else:
-        mean = (n * ybar + prior.kappa0 * prior.mu0) / (n + prior.kappa0)
-        sd = math.sqrt(sigma_sq / (n + prior.kappa0))
+    mean = ybar + prior.kappa0 * (prior.mu0 - ybar) / (n + prior.kappa0)
+    sd = math.sqrt(sigma_sq / (n + prior.kappa0))
     if not constrained:
         return mean + sd * rng.standard_normal()
     if sigma_sq >= 0.25:
@@ -238,19 +238,20 @@ def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
                   constrained: bool, tgm_lam: float | None, rng: Generator) -> float:
     """sigma_sq | mu, ybar, s_sq: inverse gamma, drawn as a gamma on 1/sigma_sq.
 
+    The shape is (n + nu0 + 1)/2 and the rate (nu0 sigma0_sq + (n-1) s_sq
+    + n (ybar - mu)^2 + kappa0 (mu - mu0)^2)/2: the conjugate prior's
+    sigma^-1 from mu | sigma_sq adds the 1/2 to the shape, and under the
+    flat prior the shape is (n - 2)/2.
+
     Constrained mode truncates to sigma_sq <= mu (1 - mu).  tgm_lam is the
     collapsed sampler's TGM noise rate eps2 n: the precision is floored at
     2 tgm_lam/(n-1) and sigma_sq kept below (n-1)/(2 tgm_lam), so that the
     s_sq conditional's rate (n-1)/(2 sigma_sq) exceeds tgm_lam.  The
     latent-value sampler passes None.
     """
-    if prior.kind == "flat":
-        shape = (n - 2.0) / 2.0
-        rate = ((n - 1.0) * s_sq + n * (ybar - mu) ** 2) / 2.0
-    else:
-        shape = (n + prior.nu0) / 2.0
-        rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq
-                + n * (ybar - mu) ** 2) / 2.0
+    shape = (n + prior.nu0 + 1.0) / 2.0
+    rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq + n * (ybar - mu) ** 2
+            + prior.kappa0 * (mu - prior.mu0) ** 2) / 2.0
     prec_floor = 0.0 if tgm_lam is None else 2.0 * tgm_lam / (n - 1.0)
     if constrained:
         prec_floor = max(prec_floor, 1.0 / (mu * (1.0 - mu)))
@@ -318,8 +319,8 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
     scale; both are mapped to [0, 1] here and the draws stay on that
     scale.
     """
-    release_unit, prior_unit = unit_inputs(release, prior)
-    _require_tgm_valid(release_unit, force_sigma_constraint)
+    check_config(release.n, release.budget.eps2, prior, True, force_sigma_constraint)
+    release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)
 
     rng = np.random.default_rng(config.seed)
     state = init_state(release_unit)
@@ -364,4 +365,4 @@ def predictive_draws(draws: PosteriorDraws, mode: PredictiveMode, bounds: Bounds
         out = mu + sd * rng.standard_normal(mu.size)
         if mode is PredictiveMode.CLIP_AD_HOC:
             out = np.clip(out, 0.0, 1.0)
-    return bounds.a + bounds.width * out
+    return bounds.from_unit(out, 0.0)[0]

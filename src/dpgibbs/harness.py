@@ -20,8 +20,8 @@ from numpy.random import Generator
 from scipy import special as sc
 
 from .augmented import run_augmented_chain
-from .errors import ConfigurationError, DpGibbsError
-from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
+from .errors import ConfigurationError, NumericalError
+from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, check_config, run_chain
 from .release import UNIT, Budget, GaussianSummary, release
 from .summary import (
     KDE_MIN_SAMPLES,
@@ -60,6 +60,7 @@ class Scenario:
         if self.n < 2 or self.base_seed < 0:
             raise ValueError("a scenario needs n >= 2 and base_seed >= 0")
         Budget(self.eps1, self.eps2)  # rejects the budget before any replication runs
+        check_config(self.n, self.eps2, self.prior, self.mode != "likelihood")
         if not 0.0 < self.truth_mu < 1.0 or self.truth_sigma <= 0:
             raise ConfigurationError("need truth_mu in (0, 1) and truth_sigma > 0")
 
@@ -105,7 +106,7 @@ def _one_rep(scenario: Scenario, rep: int) -> CoverageRecord | None:
         interval = hpd_interval(draws.mu, 0.95)
         point = kde_mode(draws.mu)
         return CoverageRecord(interval=interval, point=point, truth=scenario.truth_mu)
-    except DpGibbsError:
+    except NumericalError:
         return None
 
 

@@ -3,8 +3,9 @@
 The released pair (ybar_star, s_sq_star) is the only view of the data
 the samplers ever see.  Release always happens on the [0, 1] scale
 internally and is mapped back through the affine relations
-``ybar = (b - a) * ybar_unit + a`` and ``s_sq = (b - a)^2 * s_sq_unit``,
-which leave the released law unchanged.
+``ybar = a + (b - a) * ybar_unit`` and ``s_sq = (b - a)^2 * s_sq_unit``
+(``Bounds.from_unit``; ``Bounds.to_unit`` is its inverse), which leave
+the released law unchanged.
 """
 
 from __future__ import annotations
@@ -46,6 +47,23 @@ class Bounds:
     @property
     def is_unit(self) -> bool:
         return self.a == 0.0 and self.b == 1.0
+
+    def to_unit(self, mean, var):
+        """A location and a variance (floats or arrays) on [a, b], mapped onto [0, 1]."""
+        w = self.width
+        return (mean - self.a) / w, var / (w * w)
+
+    def from_unit(self, mean, var):
+        """A location and a variance (floats or arrays) on [0, 1], mapped onto [a, b]."""
+        w = self.width
+        return self.a + w * mean, w * w * var
+
+    def sensitivities(self, n: int) -> tuple[float, float]:
+        """Sensitivities of the sample mean and variance: ((b-a)/n, (b-a)^2/n)."""
+        if n < 2:
+            raise ValueError("sensitivities require n >= 2")
+        w = self.width
+        return w / n, w * w / n
 
 
 UNIT = Bounds(0.0, 1.0)
@@ -103,16 +121,9 @@ class PrivateRelease:
 
     def to_unit(self) -> "PrivateRelease":
         """Map the release onto the [0, 1] analysis scale."""
-        if self.bounds.is_unit:
-            return self
-        w = self.bounds.width
-        return PrivateRelease(
-            ybar_star=(self.ybar_star - self.bounds.a) / w,
-            s_sq_star=self.s_sq_star / (w * w),
-            n=self.n,
-            budget=self.budget,
-            bounds=UNIT,
-        )
+        ybar_star, s_sq_star = self.bounds.to_unit(self.ybar_star, self.s_sq_star)
+        return PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=self.n,
+                              budget=self.budget, bounds=UNIT)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -163,34 +174,7 @@ def summarize(values, bounds: Bounds) -> GaussianSummary:
 
 def sensitivities(bounds: Bounds, n: int) -> tuple[float, float]:
     """Sensitivities of the sample mean and variance on [a, b]: ((b-a)/n, (b-a)^2/n)."""
-    if n < 2:
-        raise ValueError("sensitivities require n >= 2")
-    w = bounds.width
-    return w / n, w * w / n
-
-
-def to_unit_scale(summary: GaussianSummary, bounds: Bounds) -> GaussianSummary:
-    """Rescale a summary from [a, b] to [0, 1]."""
-    w = bounds.width
-    return GaussianSummary(
-        ybar=(summary.ybar - bounds.a) / w,
-        s_sq=summary.s_sq / (w * w),
-        n=summary.n,
-    )
-
-
-def from_unit_release(release_unit: PrivateRelease, bounds: Bounds) -> PrivateRelease:
-    """Map a [0, 1]-scale release onto [a, b]; budget and n are unchanged."""
-    if not release_unit.bounds.is_unit:
-        raise ValueError("from_unit_release expects a release on [0, 1]")
-    w = bounds.width
-    return PrivateRelease(
-        ybar_star=w * release_unit.ybar_star + bounds.a,
-        s_sq_star=w * w * release_unit.s_sq_star,
-        n=release_unit.n,
-        budget=release_unit.budget,
-        bounds=bounds,
-    )
+    return bounds.sensitivities(n)
 
 
 def release(summary: GaussianSummary, bounds: Bounds, budget: Budget,
@@ -201,12 +185,11 @@ def release(summary: GaussianSummary, bounds: Bounds, budget: Budget,
     for the variance; the computation rescales to [0, 1], adds unit-scale
     noise and maps back, which is distributionally identical.
     """
-    unit = to_unit_scale(summary, bounds)
+    ybar, s_sq = bounds.to_unit(summary.ybar, summary.s_sq)
     n = summary.n
-    ybar_star = sample_laplace(unit.ybar, 1.0 / (budget.eps1 * n), rng)
-    s_sq_star = sample_laplace(unit.s_sq, 1.0 / (budget.eps2 * n), rng)
-    unit_release = PrivateRelease(
-        ybar_star=ybar_star, s_sq_star=s_sq_star, n=n, budget=budget, bounds=UNIT
-    )
-    return from_unit_release(unit_release, bounds)
+    ybar_star, s_sq_star = bounds.from_unit(
+        sample_laplace(ybar, 1.0 / (budget.eps1 * n), rng),
+        sample_laplace(s_sq, 1.0 / (budget.eps2 * n), rng))
+    return PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n, budget=budget,
+                          bounds=bounds)
 

@@ -11,10 +11,12 @@ of the error raised, for a fixed list of seeded inputs:
 
 - kernels: 4 000 random parameter sets through every distributions
   kernel and the log incomplete gammas behind the TGM weights;
-- chain: run_chain in the four prior/constraint variants on releases with
-  n from 3 to 10**6, eps up to the 2(n-1)/n limit and noisy statistics
-  outside [0, 1];
-- augmented: run_augmented_chain, constrained and unconstrained;
+- chain flat / chain nig: run_chain under the flat or the conjugate
+  prior, in both constraint modes, on releases with n from 3 to 10**6,
+  eps up to the 2(n-1)/n limit and noisy statistics outside [0, 1], plus
+  the blood-lead release on [0, 100];
+- augmented flat / augmented nig: run_augmented_chain under the flat or
+  the conjugate prior, constrained and unconstrained;
 - predictive: the three predictive modes;
 - regression: run_regression_chain in both modes, plus the demo data
   under a near-singular prior (lambda0 = 1e-30 I) that makes the chain
@@ -68,7 +70,10 @@ from dpgibbs.regression import (  # noqa: E402
 from dpgibbs.release import UNIT, Bounds, Budget, PrivateRelease  # noqa: E402
 from dpgibbs.summary import hpd_interval, kde_mode  # noqa: E402
 
-_PRIORS = (PriorSpec.flat(), PriorSpec.conjugate(0.4, 2.0, 3.0, 0.05))
+# per kind: (prior for the unit-scale releases, prior for the blood-lead release on [0, 100])
+_PRIORS = {"flat": (PriorSpec.flat(), PriorSpec.flat()),
+           "nig": (PriorSpec.conjugate(0.4, 2.0, 3.0, 0.05),
+                   PriorSpec.conjugate(12.5, 1.0, 1.0, 14.44))}
 _MODES = (ConstraintMode.UNCONSTRAINED, ConstraintMode.MOMENT_CONSTRAINED)
 
 
@@ -158,27 +163,28 @@ def _draws(d: Digest, draws):
         d.add(draws.mu, draws.sigma_sq, draws.ybar, draws.s_sq)
 
 
-def chain() -> str:
+def chain(kind: str) -> str:
     d = Digest()
+    prior, lead_prior = _PRIORS[kind]
     for i, rel in enumerate(_releases(60, 202, 1e6)):
-        for prior in _PRIORS:
-            for mode in _MODES:
-                config = SamplerConfig(iters=150, seed=i, burn_in=0)
-                _draws(d, d.attempt(run_chain, rel, prior, mode, config))
+        for mode in _MODES:
+            config = SamplerConfig(iters=150, seed=i, burn_in=0)
+            _draws(d, d.attempt(run_chain, rel, prior, mode, config))
     scaled = PrivateRelease(ybar_star=34.3, s_sq_star=2224.0, n=43,
                             budget=Budget(0.25, 0.25), bounds=Bounds(0.0, 100.0))
-    for prior in (PriorSpec.flat(), PriorSpec.conjugate(12.5, 1.0, 1.0, 14.44)):
-        for mode in _MODES:
-            _draws(d, d.attempt(run_chain, scaled, prior, mode, SamplerConfig(iters=2000, seed=3)))
+    for mode in _MODES:
+        config = SamplerConfig(iters=2000, seed=3)
+        _draws(d, d.attempt(run_chain, scaled, lead_prior, mode, config))
     return d.hexdigest()
 
 
-def augmented() -> str:
+def augmented(kind: str) -> str:
     d = Digest()
+    prior = _PRIORS[kind][0]
     for i, rel in enumerate(_releases(16, 303, 300)):
         for constrained in (False, True):
             config = SamplerConfig(iters=60, seed=i, burn_in=0)
-            _draws(d, d.attempt(run_augmented_chain, rel, constrained, config))
+            _draws(d, d.attempt(run_augmented_chain, rel, constrained, config, prior))
     return d.hexdigest()
 
 
@@ -250,10 +256,14 @@ def grid() -> str:
 
 
 def main():
-    for name, fn in (("kernels", kernels), ("chain", chain), ("augmented", augmented),
+    for name, fn in (("kernels", kernels),
+                     ("chain flat", lambda: chain("flat")),
+                     ("chain nig", lambda: chain("nig")),
+                     ("augmented flat", lambda: augmented("flat")),
+                     ("augmented nig", lambda: augmented("nig")),
                      ("predictive", predictive), ("regression", regression),
                      ("summary", summary), ("grid", grid)):
-        print(f"{name:<11} {fn()}", flush=True)
+        print(f"{name:<14} {fn()}", flush=True)
 
 
 if __name__ == "__main__":

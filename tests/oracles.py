@@ -106,6 +106,31 @@ def flat_posterior_grid_oracle(ybar_star: float, s_sq_star: float, n: int,
     Grid quadrature of the product of the two noisy-statistic likelihoods,
     restricted to the sigma_sq region the collapsed sampler enforces.
     """
+    return _posterior_grid_means(ybar_star, s_sq_star, n, eps1, eps2, None, n_mu, n_sig)
+
+
+def nig_posterior_grid_oracle(ybar_star: float, s_sq_star: float, n: int,
+                              eps1: float, eps2: float, mu0: float, kappa0: float,
+                              nu0: float, sigma0_sq: float,
+                              n_mu: int = 2000, n_sig: int = 400):
+    """Posterior means of (mu, sigma_sq) under the conjugate unconstrained model.
+
+    The flat oracle's grid weights times the normal-inverse-gamma prior
+    density, all on the [0, 1] scale: mu | sigma_sq ~ N(mu0, sigma_sq/kappa0)
+    contributes sigma^-1 exp(-kappa0 (mu - mu0)^2 / (2 sigma_sq)), and
+    sigma_sq ~ Inv-Gamma(nu0/2, nu0 sigma0_sq/2) contributes
+    sigma_sq^-(nu0/2 + 1) exp(-nu0 sigma0_sq / (2 sigma_sq)).  The default
+    mu grid is finer than the flat one because the prior narrows mu to
+    sd sqrt(sigma_sq/kappa0) where sigma_sq is small.
+    """
+    def log_prior(mu, sig2):
+        return (-(nu0 + 3.0) / 2.0 * np.log(sig2)
+                - (nu0 * sigma0_sq + kappa0 * (mu - mu0) ** 2) / (2.0 * sig2))
+
+    return _posterior_grid_means(ybar_star, s_sq_star, n, eps1, eps2, log_prior, n_mu, n_sig)
+
+
+def _posterior_grid_means(ybar_star, s_sq_star, n, eps1, eps2, log_prior, n_mu, n_sig):
     from dpgibbs.evidence import likelihood_s2_star
 
     cap = (n - 1.0) / (2.0 * n * eps2)
@@ -116,6 +141,9 @@ def flat_posterior_grid_oracle(ybar_star: float, s_sq_star: float, n: int,
     f_s2 = np.array([likelihood_s2_star(s_sq_star, float(v), n, eps2) for v in sig2s])
     f_yb = laplace_gauss_marginal(mus[:, None], ybar_star, sig2s[None, :], n, eps1)
     w = f_yb * f_s2[None, :]
+    if log_prior is not None:
+        lp = log_prior(mus[:, None], sig2s[None, :])
+        w *= np.exp(lp - lp.max())
     w *= np.gradient(mus)[:, None] * np.gradient(sig2s)[None, :]
     z = w.sum()
     mu_mean = float((w * mus[:, None]).sum() / z)

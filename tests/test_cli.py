@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgibbs.harness as harness
+import dpgibbs.regression as regression
 import dpgibbs.validation as validation
 from dpgibbs.cli import main
 from dpgibbs.errors import SamplingError
@@ -128,6 +129,41 @@ class TestRegress:
         lines = out.read_text().strip().split("\n")
         assert lines[1] == "t,theta0,theta1,sigma_sq"
 
+    def test_fallback_counts_reported_on_stderr(self, tmp_path, capsys):
+        # a near-singular prior makes the chain project lambda_n onto the
+        # PSD cone; the draws go to stdout as before, the counts to stderr
+        from importlib import resources
+
+        demo = str(resources.files("dpgibbs").joinpath("data/demo_regression.csv"))
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"mu0": [1.0, 0.0], "lambda0": [[1e-30, 0.0], [0.0, 1e-30]],
+                                     "a0": 20.0, "b0": 0.5}))
+        argv = ["regress", "--data", demo, "--eps-per-query", "0.1", "--iters", "3000",
+                "--seed", "0"]
+        assert run_cli(argv + ["--prior", str(prior)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("# format_version=1\nt,theta0,theta1,sigma_sq\n")
+        (line,) = err.splitlines()
+        assert line.startswith("warning: fallback counts ")
+        counts = json.loads(line.removeprefix("warning: fallback counts "))
+        assert counts["lambda_psd_projected"] > 0
+        assert run_cli(argv + ["--iters", "300"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_stuck_chain_diagnostics_on_stderr(self, monkeypatch, capsys):
+        from importlib import resources
+
+        monkeypatch.setattr(regression, "_REJECTION_CAP", 20)
+        demo = str(resources.files("dpgibbs").joinpath("data/demo_regression.csv"))
+        code = run_cli(["regress", "--constrained", "--data", demo, "--eps-per-query", "1",
+                        "--iters", "2000", "--seed", "2", "--out", "-"])
+        assert code == 4
+        error, diagnostics = capsys.readouterr().err.splitlines()
+        assert error.startswith("error: statistic imputation stuck on the ")
+        diagnostics = json.loads(diagnostics)
+        assert diagnostics["attempts"] == 20
+        assert sum(diagnostics["fails"].values()) == 20
+
     def test_malformed_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0\n")
@@ -177,6 +213,21 @@ class TestSimulate:
         for field in ("n=40", "mode=unconstrained", "eps1=0.25", "eps2=0.25", "base_seed=11"):
             assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("over, cause", [
+        ({"n": 10, "eps2": 1.9}, "error: eps2 = 1.9 >= 2(n-1)/n = 1.8"),
+        ({"n": 2}, "error: the flat prior needs n >= 3"),
+    ])
+    def test_configuration_error_names_its_cause(self, tmp_path, capsys, over, cause):
+        grid = self.grid_file(tmp_path, [self.scenario_dict(**over)])
+        assert run_cli(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(cause)
+
+    def test_eps2_limit_spares_the_likelihood_sampler(self, tmp_path):
+        grid = self.grid_file(tmp_path, [self.scenario_dict(
+            n=10, eps2=1.9, mode="likelihood", reps=2, iters=50)])
+        assert run_cli(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")]) == 0
 
     def test_fig2_preset_loads(self):
         from importlib import resources

@@ -64,6 +64,16 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError):
             small_scenario(mode="bogus")
 
+    def test_unsupported_configuration_rejected_before_any_replication(self):
+        for mode in ("unconstrained", "constrained"):
+            with pytest.raises(ConfigurationError, match="eps2"):
+                small_scenario(mode=mode, n=10, eps2=1.9)
+        small_scenario(mode="likelihood", n=10, eps2=1.9)
+        for mode in ("unconstrained", "likelihood"):
+            with pytest.raises(ConfigurationError, match="flat prior"):
+                small_scenario(mode=mode, n=2)
+        small_scenario(n=2, prior=PriorSpec.conjugate(0.5, 1.0, 1.0, 0.01))
+
 
 class TestRunGrid:
     def test_single_scenario_matches_run_scenario(self):

@@ -11,11 +11,9 @@ from dpgibbs.release import (
     Budget,
     GaussianSummary,
     PrivateRelease,
-    from_unit_release,
     release,
     sensitivities,
     summarize,
-    to_unit_scale,
 )
 
 
@@ -42,44 +40,42 @@ class TestSensitivities:
 
 class TestRescaling:
     def test_lead_example_values(self):
-        summary = GaussianSummary(ybar=32.08, s_sq=16.98 ** 2, n=43)
-        unit = to_unit_scale(summary, Bounds(0.0, 100.0))
-        assert unit.ybar == pytest.approx(0.3208)
-        assert unit.s_sq == pytest.approx(0.028832, abs=1e-6)
+        ybar, s_sq = Bounds(0.0, 100.0).to_unit(32.08, 16.98 ** 2)
+        assert ybar == pytest.approx(0.3208)
+        assert s_sq == pytest.approx(0.028832, abs=1e-6)
 
     def test_unit_bounds_identity(self):
-        summary = GaussianSummary(ybar=0.4, s_sq=0.02, n=10)
-        assert to_unit_scale(summary, UNIT) == summary
+        assert UNIT.to_unit(0.4, 0.02) == (0.4, 0.02)
 
     def test_round_trip(self):
         bounds = Bounds(-3.0, 17.0)
-        summary = GaussianSummary(ybar=5.31, s_sq=8.2, n=25)
-        unit = to_unit_scale(summary, bounds)
-        back = GaussianSummary(
-            ybar=bounds.width * unit.ybar + bounds.a,
-            s_sq=bounds.width ** 2 * unit.s_sq,
-            n=unit.n,
-        )
-        assert back.ybar == pytest.approx(summary.ybar, abs=1e-12)
-        assert back.s_sq == pytest.approx(summary.s_sq, abs=1e-12)
+        ybar, s_sq = bounds.from_unit(*bounds.to_unit(5.31, 8.2))
+        assert ybar == pytest.approx(5.31, abs=1e-12)
+        assert s_sq == pytest.approx(8.2, abs=1e-12)
 
-    def test_from_unit_release_lead_values(self):
-        unit = PrivateRelease(ybar_star=0.3430, s_sq_star=0.4716 ** 2, n=43,
-                              budget=Budget(0.25, 0.25), bounds=UNIT)
-        rel = from_unit_release(unit, Bounds(0.0, 100.0))
-        assert rel.ybar_star == pytest.approx(34.30)
-        assert rel.s_sq_star == pytest.approx(47.16 ** 2)
+    def test_from_unit_lead_values(self):
+        ybar, s_sq = Bounds(0.0, 100.0).from_unit(0.3430, 0.4716 ** 2)
+        assert ybar == pytest.approx(34.30)
+        assert s_sq == pytest.approx(47.16 ** 2)
 
     def test_from_unit_identity(self):
-        unit = PrivateRelease(ybar_star=0.2, s_sq_star=0.01, n=5,
-                              budget=Budget(0.1, 0.1), bounds=UNIT)
-        assert from_unit_release(unit, UNIT) == unit
+        assert UNIT.from_unit(0.2, 0.01) == (0.2, 0.01)
 
-    def test_from_unit_requires_unit_input(self):
-        rel = PrivateRelease(ybar_star=3.0, s_sq_star=1.0, n=5,
-                             budget=Budget(0.1, 0.1), bounds=Bounds(0.0, 10.0))
-        with pytest.raises(ValueError):
-            from_unit_release(rel, Bounds(0.0, 100.0))
+    def test_maps_arrays_elementwise(self):
+        bounds = Bounds(2.0, 52.0)
+        mean, var = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.01, 0.25])
+        mapped = bounds.from_unit(mean, var)
+        np.testing.assert_array_equal(mapped[0], [2.0, 27.0, 52.0])
+        np.testing.assert_array_equal(mapped[1], [0.0, 25.0, 625.0])
+        for got, want in zip(bounds.to_unit(*mapped), (mean, var)):
+            np.testing.assert_allclose(got, want, atol=1e-15)
+
+    def test_release_to_unit(self):
+        rel = PrivateRelease(ybar_star=34.3, s_sq_star=-40.0, n=43,
+                             budget=Budget(0.25, 0.25), bounds=Bounds(0.0, 100.0))
+        unit = rel.to_unit()
+        assert unit.bounds == UNIT and (unit.n, unit.budget) == (43, rel.budget)
+        assert (unit.ybar_star, unit.s_sq_star) == Bounds(0.0, 100.0).to_unit(34.3, -40.0)
 
 
 class TestRelease:
