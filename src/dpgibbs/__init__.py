@@ -21,7 +21,7 @@ from .gibbs import (
     predictive_draws,
     run_chain,
 )
-from .augmented import mh_accept_prob, moments_swap_update, run_augmented_chain
+from .augmented import run_augmented_chain
 from .summary import (
     CoverageRecord,
     IntervalEstimate,
@@ -52,8 +52,6 @@ __all__ = [
     "init_state",
     "kde_mode",
     "mc_se",
-    "mh_accept_prob",
-    "moments_swap_update",
     "predictive_draws",
     "release",
     "run_augmented_chain",

@@ -9,7 +9,9 @@ identical to rejecting out-of-bounds proposals but has bounded runtime.
 The acceptance probability only involves the released-statistic Laplace
 factors because the proposal cancels the data-model term.
 
-Per-sweep cost is linear in n, unlike the collapsed sampler.
+Per-sweep cost is linear in n, unlike the collapsed sampler.  A sweep
+draws mu, sigma_sq, the n proposals as one block and n acceptance
+uniforms, in that order, then scans the latents once in Python floats.
 
 The (mu, sigma_sq) conditionals are gibbs.draw_mu and gibbs.draw_sigma_sq,
 without the collapsed sampler's TGM floor and cap on sigma_sq; this
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .distributions import sample_trunc_normal
-# Not called here: kept so that perfbench/layers.py can rebind it.
-from .distributions import sample_trunc_gamma  # noqa: F401
+from .distributions import sample_trunc_normal_block
+# Not called here: kept so that perfbench/layers.py can rebind them.
+from .distributions import sample_trunc_gamma, sample_trunc_normal  # noqa: F401
 from .errors import NumericalError
 from .gibbs import (
     PosteriorDraws,
@@ -58,73 +60,52 @@ class AugmentedState:
     s_sq: float
 
 
-def moments_swap_update(ybar: float, s_sq: float, old_yi: float, new_yi: float,
-                        n: int) -> tuple[float, float]:
-    """Mean/variance of the dataset after replacing one value, in O(1)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    delta = (new_yi - old_yi) / n
-    ybar_new = ybar + delta
-    # (n-1) s_sq = sum y^2 - n ybar^2; track the change in both terms.
-    sq_change = new_yi * new_yi - old_yi * old_yi
-    s_sq_new = s_sq + (sq_change - n * delta * (ybar_new + ybar)) / (n - 1.0)
-    return ybar_new, max(s_sq_new, 0.0)
-
-
-def mh_accept_prob(ybar_prev: float, ybar_prop: float, s2_prev: float,
-                   s2_prop: float, release_unit: PrivateRelease) -> float:
-    """Acceptance probability for one latent-value swap.
-
-    r = min(1, exp[-eps1 n (|ybar* - ybar'| - |ybar* - ybar|)
-                  - eps2 n (|s2* - s2'| - |s2* - s2|)]).
-    """
-    n = release_unit.n
-    e1 = release_unit.budget.eps1 * n
-    e2 = release_unit.budget.eps2 * n
-    ystar = release_unit.ybar_star
-    sstar = release_unit.s_sq_star
-    expo = (-e1 * (abs(ystar - ybar_prop) - abs(ystar - ybar_prev))
-            - e2 * (abs(sstar - s2_prop) - abs(sstar - s2_prev)))
-    if expo >= 0.0:
-        return 1.0
-    return math.exp(expo)
-
-
 def _init_augmented(release_unit: PrivateRelease, rng: Generator) -> AugmentedState:
-    n = release_unit.n
     mu, sigma_sq = clamped_release(release_unit)
-    sd = math.sqrt(sigma_sq)
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
+    y = sample_trunc_normal_block(mu, math.sqrt(sigma_sq), 0.0, 1.0, release_unit.n, rng)
     return AugmentedState(mu=mu, sigma_sq=sigma_sq, y=y,
                           ybar=float(y.mean()), s_sq=float(y.var(ddof=1)))
 
 
 def augmented_sweep(state: AugmentedState, release_unit: PrivateRelease,
                     prior: PriorSpec, constrained: bool, rng: Generator) -> int:
-    """One in-place sweep; returns the number of accepted swaps."""
+    """One in-place sweep; returns the number of accepted swaps.
+
+    Swap i, to proposal i, is accepted when uniform i is below exp[-eps1 n
+    (|ybar* - ybar'| - |ybar* - ybar|) - eps2 n (|s2* - s2'| - |s2* - s2|)].
+    """
     n = release_unit.n
-    y = state.y
     ybar, s_sq = state.ybar, state.s_sq
     mu = draw_mu(ybar, state.sigma_sq, n, prior, constrained, rng)
     sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, None, rng)
     state.mu, state.sigma_sq = mu, sigma_sq
 
-    # -- latent values, fixed ascending scan --
     sd = math.sqrt(sigma_sq)
+    props = (sample_trunc_normal_block(mu, sd, 0.0, 1.0, n, rng) if constrained
+             else mu + sd * rng.standard_normal(n))
+
+    # -- latent values, fixed ascending scan --
+    ys = state.y.tolist()
+    nf, n_minus_1 = float(n), n - 1.0
+    neg_e1, e2 = -release_unit.budget.eps1 * nf, release_unit.budget.eps2 * nf
+    ystar, sstar = release_unit.ybar_star, release_unit.s_sq_star
+    exp = math.exp
+    dist1, dist2 = abs(ystar - ybar), abs(sstar - s_sq)
     accepted = 0
-    for i in range(n):
-        if constrained:
-            prop = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
-        else:
-            prop = mu + sd * rng.standard_normal()
-        yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), prop, n)
-        r = mh_accept_prob(ybar, yb_new, s_sq, s2_new, release_unit)
-        if r >= 1.0 or rng.random() < r:
-            y[i] = prop
-            ybar, s_sq = yb_new, s2_new
+    for i, (prop, u) in enumerate(zip(props.tolist(), rng.random(n).tolist())):
+        old = ys[i]
+        delta = (prop - old) / nf
+        yb_new = ybar + delta
+        s2_new = s_sq + (prop * prop - old * old - nf * delta * (yb_new + ybar)) / n_minus_1
+        if s2_new < 0.0:
+            s2_new = 0.0
+        d1, d2 = abs(ystar - yb_new), abs(sstar - s2_new)
+        expo = neg_e1 * (d1 - dist1) - e2 * (d2 - dist2)
+        if expo >= 0.0 or u < exp(expo):
+            ys[i] = prop
+            ybar, s_sq, dist1, dist2 = yb_new, s2_new, d1, d2
             accepted += 1
+    state.y[:] = ys
     state.ybar, state.s_sq = ybar, s_sq
     return accepted
 

@@ -11,10 +11,10 @@ raising ValueError on bad arguments; a truncation window is the pair
 distribution formulas only: the model's conditionals live in gibbs.py
 and the feasibility windows they truncate to in feasible.py.
 
-The kernels evaluate one scalar at a time, so the special functions come
-from scipy.special.cython_special: the same C routines as the
-scipy.special ufuncs, with the same bits, but without the ufunc dispatch
-that costs about 1-3 us per scalar call, and returning float rather than
+The scalar kernels take their special functions from
+scipy.special.cython_special: the same C routines as the scipy.special
+ufuncs, with the same bits, but without the ufunc dispatch that costs
+about 1-3 us per scalar call, and returning float rather than
 numpy.float64.  ndtr stays on the ufunc, which is as fast for it.
 
 The centrepiece is the truncated gamma mixture (TGM), the distribution
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from numpy.random import Generator
 from scipy import special as sc
 from scipy.special import cython_special as cs
@@ -374,6 +375,41 @@ def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
         x = lo
     elif x > hi:
         x = hi
+    return x
+
+
+def sample_trunc_normal_block(mean: float, sd: float, lo: float, hi: float, size: int,
+                              rng: Generator) -> np.ndarray:
+    """The floats of ``size`` calls of sample_trunc_normal on ``rng``, as one array.
+
+    random(size) yields the doubles of size random() calls and the ndtri ufunc
+    has the bits of cs.ndtri.  Tail windows loop the scalar kernel.
+    """
+    if sd <= 0 or not math.isfinite(sd):
+        raise ValueError("sample_trunc_normal requires sd > 0")
+    if not lo < hi:
+        raise ValueError("truncation window requires lo < hi")
+    a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
+    b = (hi - mean) / sd if math.isfinite(hi) else math.inf
+    if a >= _TAIL_Z or b <= -_TAIL_Z:
+        return np.array([sample_trunc_normal(mean, sd, lo, hi, rng) for _ in range(size)])
+    pa = float(sc.ndtr(a)) if math.isfinite(a) else 0.0
+    pb = float(sc.ndtr(b)) if math.isfinite(b) else 1.0
+    qa = float(sc.ndtr(-a)) if math.isfinite(a) else 1.0
+    qb = float(sc.ndtr(-b)) if math.isfinite(b) else 0.0
+    mass = max(pb - pa, qa - qb)
+    if mass <= 0.0:
+        raise SamplingError("truncated normal window has numerically zero mass",
+                            {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
+    u_mass = rng.random(size) * mass
+    p = pa + u_mass
+    high = ~(p <= 0.5)
+    z = sc.ndtri(np.where(high, np.maximum(qa - u_mass, 0.0), p))
+    np.negative(z, out=z, where=high)
+    x = mean + sd * z
+    # Masked stores, not np.clip, which would turn a -0.0 at lo = 0.0 into 0.0.
+    x[x < lo] = lo
+    x[x > hi] = hi
     return x
 
 

@@ -22,7 +22,8 @@ of the error raised, for a fixed list of seeded inputs:
   under a near-singular prior (lambda0 = 1e-30 I) that makes the chain
   project lambda_n; the warnings counts are hashed too;
 - summary: kde_mode and hpd_interval on mixed samples;
-- grid: a small run_grid.
+- grid collapsed / grid likelihood: a small run_grid of the collapsed
+  modes, or of the latent-value ("likelihood") mode alone.
 """
 
 from __future__ import annotations
@@ -245,12 +246,15 @@ def summary() -> str:
     return d.hexdigest()
 
 
-def grid() -> str:
+_GRID = {"collapsed": ((31, 0.5, "unconstrained", 1), (100, 0.2, "constrained", 2)),
+         "likelihood": ((40, 0.5, "likelihood", 3),)}
+
+
+def grid(kind: str) -> str:
     scenarios = [
         Scenario(n=n, eps1=0.5, eps2=0.5, truth_mu=mu, truth_sigma=0.2, mode=mode,
                  prior=PriorSpec.flat(), reps=3, iters=300, base_seed=seed)
-        for n, mu, mode, seed in ((31, 0.5, "unconstrained", 1), (100, 0.2, "constrained", 2),
-                                  (40, 0.5, "likelihood", 3))
+        for n, mu, mode, seed in _GRID[kind]
     ]
     return hashlib.sha256(run_grid(scenarios).encode()).hexdigest()
 
@@ -262,8 +266,10 @@ def main():
                      ("augmented flat", lambda: augmented("flat")),
                      ("augmented nig", lambda: augmented("nig")),
                      ("predictive", predictive), ("regression", regression),
-                     ("summary", summary), ("grid", grid)):
-        print(f"{name:<14} {fn()}", flush=True)
+                     ("summary", summary),
+                     ("grid collapsed", lambda: grid("collapsed")),
+                     ("grid likelihood", lambda: grid("likelihood"))):
+        print(f"{name:<15} {fn()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own sampling paths:
 CDFs come from Simpson quadrature of density formulas, posteriors from
 grid quadrature of closed-form likelihoods, moments from brute-force
-recomputation.
+recomputation.  The exception is ``augmented_sweep_reference``: the
+latent-value sweep written one latent at a time, with its O(1) moment
+update and acceptance probability as separate helpers, against which the
+package's block-and-scan sweep is checked.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 import numpy as np
 from scipy import special as sc
 
-from dpgibbs.distributions import tgm_pdf
+from dpgibbs.distributions import sample_trunc_normal, tgm_pdf
+from dpgibbs.gibbs import draw_mu, draw_sigma_sq
 from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
 
 
@@ -184,3 +188,65 @@ def kde_mode_reference(samples) -> float:
         z = (grid[:, None] - chunk[None, :]) * inv
         dens += np.exp(-0.5 * z * z).sum(axis=1)
     return float(grid[int(np.argmax(dens))])  # argmax: lowest grid point on ties
+
+
+def moments_swap_update(ybar: float, s_sq: float, old_yi: float, new_yi: float,
+                        n: int) -> tuple[float, float]:
+    """Mean/variance of the dataset after replacing one value, in O(1)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    delta = (new_yi - old_yi) / n
+    ybar_new = ybar + delta
+    # (n-1) s_sq = sum y^2 - n ybar^2; track the change in both terms.
+    sq_change = new_yi * new_yi - old_yi * old_yi
+    s_sq_new = s_sq + (sq_change - n * delta * (ybar_new + ybar)) / (n - 1.0)
+    return ybar_new, max(s_sq_new, 0.0)
+
+
+def mh_accept_prob(ybar_prev: float, ybar_prop: float, s2_prev: float,
+                   s2_prop: float, release_unit) -> float:
+    """Acceptance probability for one latent-value swap.
+
+    r = min(1, exp[-eps1 n (|ybar* - ybar'| - |ybar* - ybar|)
+                  - eps2 n (|s2* - s2'| - |s2* - s2|)]).
+    """
+    n = release_unit.n
+    e1 = release_unit.budget.eps1 * n
+    e2 = release_unit.budget.eps2 * n
+    ystar = release_unit.ybar_star
+    sstar = release_unit.s_sq_star
+    expo = (-e1 * (abs(ystar - ybar_prop) - abs(ystar - ybar_prev))
+            - e2 * (abs(sstar - s2_prop) - abs(sstar - s2_prev)))
+    if expo >= 0.0:
+        return 1.0
+    return math.exp(expo)
+
+
+def augmented_sweep_reference(state, release_unit, prior, constrained, rng) -> int:
+    """augmented_sweep one latent at a time: propose, then accept or reject.
+
+    Per latent it draws the proposal and, when r < 1, the uniform, so its
+    stream interleaves the two; the statistical law is that of
+    augmented_sweep.
+    """
+    n = release_unit.n
+    y = state.y
+    ybar, s_sq = state.ybar, state.s_sq
+    mu = draw_mu(ybar, state.sigma_sq, n, prior, constrained, rng)
+    sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, None, rng)
+    state.mu, state.sigma_sq = mu, sigma_sq
+    sd = math.sqrt(sigma_sq)
+    accepted = 0
+    for i in range(n):
+        if constrained:
+            prop = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
+        else:
+            prop = mu + sd * rng.standard_normal()
+        yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), prop, n)
+        r = mh_accept_prob(ybar, yb_new, s_sq, s2_new, release_unit)
+        if r >= 1.0 or rng.random() < r:
+            y[i] = prop
+            ybar, s_sq = yb_new, s2_new
+            accepted += 1
+    state.ybar, state.s_sq = ybar, s_sq
+    return accepted

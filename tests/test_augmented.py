@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -6,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgibbs.augmented import (
-    _init_augmented,
-    augmented_sweep,
-    mh_accept_prob,
-    moments_swap_update,
-    run_augmented_chain,
-)
+import dpgibbs.augmented as augmented
+from dpgibbs.augmented import _init_augmented, augmented_sweep, run_augmented_chain
+from dpgibbs.distributions import sample_trunc_normal
 from dpgibbs.feasible import pair_feasible
-from dpgibbs.gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
+from dpgibbs.gibbs import (
+    ConstraintMode,
+    PriorSpec,
+    SamplerConfig,
+    draw_mu,
+    draw_sigma_sq,
+    run_chain,
+)
 from dpgibbs.release import UNIT, Budget, PrivateRelease
 from dpgibbs.summary import kde_mode, mc_se
+from oracles import augmented_sweep_reference, mh_accept_prob, moments_swap_update
 
 
 def unit_release(ybar_star=0.43, s_sq_star=0.28 ** 2, n=50, eps1=0.25, eps2=0.25):
@@ -135,6 +140,61 @@ class TestAugmentedChain:
         assert abs(state.ybar - state.y.mean()) < 1e-10
         assert abs(state.s_sq - state.y.var(ddof=1)) < 1e-10
         assert accepted > 0
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("n", [3, 50, 1000])
+    def test_scan_replays_reference_helpers(self, n, constrained):
+        """One sweep's proposals and uniforms, fed one latent at a time
+        through moments_swap_update and mh_accept_prob, accept the same
+        latents and end at the same moments."""
+        rel = unit_release(n=n, eps1=1.0, eps2=1.0)
+        prior = PriorSpec.flat()
+        rng = np.random.default_rng(n)
+        state = _init_augmented(rel, rng)
+        for _ in range(3):
+            augmented_sweep(state, rel, prior, constrained, rng)
+        before, replay = copy.deepcopy(state), copy.deepcopy(rng)
+        accepted = augmented_sweep(state, rel, prior, constrained, rng)
+
+        # The sweep's stream: mu, sigma_sq, n proposals, then n uniforms.
+        mu = draw_mu(before.ybar, before.sigma_sq, n, prior, constrained, replay)
+        sigma_sq = draw_sigma_sq(mu, before.ybar, before.s_sq, n, prior, constrained,
+                                 None, replay)
+        assert (mu, sigma_sq) == (state.mu, state.sigma_sq)
+        sd = math.sqrt(sigma_sq)
+        if constrained:
+            props = [sample_trunc_normal(mu, sd, 0.0, 1.0, replay) for _ in range(n)]
+        else:
+            props = [mu + sd * replay.standard_normal() for _ in range(n)]
+        uniforms = [replay.random() for _ in range(n)]
+        assert replay.random() == rng.random()
+
+        y = before.y.copy()
+        ybar, s_sq = before.ybar, before.s_sq
+        taken = 0
+        for i in range(n):
+            yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), props[i], n)
+            r = mh_accept_prob(ybar, yb_new, s_sq, s2_new, rel)
+            if r >= 1.0 or uniforms[i] < r:
+                y[i] = props[i]
+                ybar, s_sq = yb_new, s2_new
+                taken += 1
+        assert taken == accepted
+        np.testing.assert_array_equal(state.y, y)
+        assert abs(state.ybar - ybar) <= 1e-12
+        assert abs(state.s_sq - s_sq) <= 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, eps, iters, seeds", [(50, 0.25, 20_000, (11, 12)),
+                                                     (300, 1.9, 6_000, (13, 14))])
+    def test_constrained_matches_reference_sweep(self, monkeypatch, n, eps, iters, seeds):
+        rel = unit_release(n=n, eps1=eps, eps2=eps)
+        d1 = run_augmented_chain(rel, True, SamplerConfig(iters=iters, seed=seeds[0]))
+        monkeypatch.setattr(augmented, "augmented_sweep", augmented_sweep_reference)
+        d2 = run_augmented_chain(rel, True, SamplerConfig(iters=iters, seed=seeds[1]))
+        for a, b in ((d1.mu, d2.mu), (d1.sigma_sq, d2.sigma_sq)):
+            se = math.hypot(mc_se(a), mc_se(b))
+            assert abs(a.mean() - b.mean()) < 3 * se
 
     @pytest.mark.slow
     def test_per_iteration_cost_linear_in_n(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgibbs.distributions import (
@@ -13,6 +13,7 @@ from dpgibbs.distributions import (
     sample_tgm,
     sample_trunc_gamma,
     sample_trunc_normal,
+    sample_trunc_normal_block,
     tgm_pdf,
     tgm_weights,
 )
@@ -271,6 +272,54 @@ class TestSampleTruncNormal:
     def test_rejects_bad_sd(self, rng):
         with pytest.raises(ValueError):
             sample_trunc_normal(0.0, 0.0, 0.0, 1.0, rng)
+
+
+def _outcome(fn):
+    """fn()'s floats as bytes, or the class and message of the error it raises."""
+    try:
+        return np.asarray(fn(), dtype=float).tobytes()
+    except (ValueError, SamplingError) as exc:
+        return type(exc), str(exc)
+
+
+_Z = st.floats(-12.0, 12.0)
+
+
+class TestSampleTruncNormalBlock:
+    """The block kernel is a loop of the scalar kernel, bit for bit."""
+
+    @given(mean=st.floats(-20.0, 20.0), sd=st.floats(1e-3, 10.0),
+           lo_z=st.one_of(st.just(-math.inf), _Z),
+           hi_z=st.one_of(st.just(math.inf), st.floats(1e-3, 8.0), _Z),
+           size=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
+    @example(mean=0.0, sd=1.0, lo_z=8.0, hi_z=0.5, size=300, seed=1)  # a >= 6
+    @example(mean=0.0, sd=1.0, lo_z=-9.0, hi_z=1.0, size=300, seed=2)  # b <= -6
+    @example(mean=0.0, sd=1.0, lo_z=6.0, hi_z=math.inf, size=50, seed=3)
+    @example(mean=0.0, sd=1.0, lo_z=-math.inf, hi_z=-6.0, size=50, seed=4)
+    @example(mean=0.4, sd=0.3, lo_z=-4.0 / 3.0, hi_z=2.0, size=2000, seed=5)  # [0, 1]
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_loop(self, mean, sd, lo_z, hi_z, size, seed):
+        """lo = mean + sd lo_z; a finite lo puts hi a width hi_z sd above it,
+        an infinite one puts hi at mean + sd hi_z."""
+        lo = mean + sd * lo_z
+        hi = (lo if math.isfinite(lo) else mean) + sd * hi_z
+        block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _outcome(lambda: sample_trunc_normal_block(mean, sd, lo, hi, size, block_rng))
+        loop = _outcome(lambda: [sample_trunc_normal(mean, sd, lo, hi, loop_rng)
+                                 for _ in range(size)])
+        assert block == loop
+        assert block_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("sd, lo, hi", [(0.0, 0.0, 1.0), (-1.0, 0.0, 1.0),
+                                            (math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+                                            (1.0, 1.0, 1.0), (1.0, 2.0, 1.0),
+                                            (1.0, math.nan, 1.0)])
+    def test_bad_arguments_raise_as_scalar(self, sd, lo, hi):
+        block = _outcome(lambda: sample_trunc_normal_block(0.0, sd, lo, hi, 5,
+                                                           np.random.default_rng(0)))
+        scalar = _outcome(lambda: sample_trunc_normal(0.0, sd, lo, hi,
+                                                      np.random.default_rng(0)))
+        assert isinstance(block, tuple) and block == scalar
 
 
 class TestSampleInverseGaussian:
