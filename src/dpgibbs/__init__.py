@@ -6,7 +6,6 @@ from .release import (
     GaussianSummary,
     PrivateRelease,
     release,
-    sensitivities,
     summarize,
 )
 from .gibbs import (
@@ -56,7 +55,6 @@ __all__ = [
     "release",
     "run_augmented_chain",
     "run_chain",
-    "sensitivities",
     "summarize",
 ]
 

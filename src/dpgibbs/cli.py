@@ -24,11 +24,9 @@ from .errors import (ConfigurationError, DpGibbsError, NumericalError, SamplingE
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .regression import RegPriors, ingest_and_rescale, release_regression, \
     run_regression_chain
-from .release import Bounds, Budget, PrivateRelease, release, summarize
+from .release import FORMAT_VERSION, Bounds, Budget, PrivateRelease, release, summarize
 from .summary import hpd_interval, kde_mode
 from .validation import run_validation
-
-FORMAT_VERSION = 1
 
 _EXIT_USAGE = 2
 _EXIT_DATA = 3
@@ -124,6 +122,17 @@ def _format_draws_csv(columns: dict[str, np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _format_results_csv(results: list[harness.ScenarioResult]) -> str:
+    lines = [f"# format_version={FORMAT_VERSION}",
+             "n,eps,mode,prior,mu_true,coverage,coverage_se,avg_len,rmse,errors"]
+    for r in results:
+        s = r.scenario
+        lines.append(f"{s.n},{s.eps1 + s.eps2:.17g},{s.mode},{s.prior.kind},"
+                     f"{s.truth_mu:.17g},{r.coverage:.17g},{r.coverage_se:.17g},"
+                     f"{r.avg_len:.17g},{r.rmse:.17g},{r.errors}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_release(args) -> int:
     _, (data,) = _read_csv(args.data, 1)
     with _invalid(ConfigurationError, "bad --lower/--upper"):
@@ -212,8 +221,8 @@ def cmd_simulate(args) -> int:
     scenarios = [_scenario(o) for o in raw]
     if args.paper_scale:
         scenarios = [harness.paper_scale(s) for s in scenarios]
-    csv = harness.run_grid(scenarios, parallelism=args.parallelism)
-    _write_text(args.out, csv)
+    results = harness.run_grid(scenarios, parallelism=args.parallelism)
+    _write_text(args.out, _format_results_csv(results))
     return 0
 
 

@@ -335,6 +335,31 @@ def _trunc_normal_tail(a: float, b: float, rng: Generator, budget: int = 10000) 
                         {"a": a, "b": b, "budget": budget})
 
 
+def _normal_window(mean: float, sd: float, lo: float, hi: float):
+    """Standardized window (a, b) of N(mean, sd^2) on [lo, hi], and its masses.
+
+    (pa, qa, mass): Phi(a), Phi(-a) and the mass in whichever tail coordinate
+    keeps precision; None for a window more than ~6 sd from the mean.
+    """
+    if sd <= 0 or not math.isfinite(sd):
+        raise ValueError("sample_trunc_normal requires sd > 0")
+    if not lo < hi:
+        raise ValueError("truncation window requires lo < hi")
+    a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
+    b = (hi - mean) / sd if math.isfinite(hi) else math.inf
+    if a >= _TAIL_Z or b <= -_TAIL_Z:
+        return a, b, None
+    pa = float(sc.ndtr(a)) if math.isfinite(a) else 0.0
+    pb = float(sc.ndtr(b)) if math.isfinite(b) else 1.0
+    qa = float(sc.ndtr(-a)) if math.isfinite(a) else 1.0
+    qb = float(sc.ndtr(-b)) if math.isfinite(b) else 0.0
+    mass = max(pb - pa, qa - qb)
+    if mass <= 0.0:
+        raise SamplingError("truncated normal window has numerically zero mass",
+                            {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
+    return a, b, (pa, qa, mass)
+
+
 def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
                         rng: Generator) -> float:
     """Draw from N(mean, sd^2) conditioned on [lo, hi].
@@ -343,26 +368,11 @@ def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
     lying more than ~6 sd from the mean use a one-sided
     exponential-proposal rejection sampler.
     """
-    if sd <= 0 or not math.isfinite(sd):
-        raise ValueError("sample_trunc_normal requires sd > 0")
-    if not lo < hi:
-        raise ValueError("truncation window requires lo < hi")
-    a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
-    b = (hi - mean) / sd if math.isfinite(hi) else math.inf
-
-    if a >= _TAIL_Z:
-        z = _trunc_normal_tail(a, b, rng)
-    elif b <= -_TAIL_Z:
-        z = -_trunc_normal_tail(-b, -a, rng)
+    a, b, masses = _normal_window(mean, sd, lo, hi)
+    if masses is None:
+        z = _trunc_normal_tail(a, b, rng) if a >= _TAIL_Z else -_trunc_normal_tail(-b, -a, rng)
     else:
-        pa = float(sc.ndtr(a)) if math.isfinite(a) else 0.0
-        pb = float(sc.ndtr(b)) if math.isfinite(b) else 1.0
-        qa = float(sc.ndtr(-a)) if math.isfinite(a) else 1.0
-        qb = float(sc.ndtr(-b)) if math.isfinite(b) else 0.0
-        mass = max(pb - pa, qa - qb)
-        if mass <= 0.0:
-            raise SamplingError("truncated normal window has numerically zero mass",
-                                {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
+        pa, qa, mass = masses
         u = rng.random()
         p = pa + u * mass
         if p <= 0.5:
@@ -385,22 +395,10 @@ def sample_trunc_normal_block(mean: float, sd: float, lo: float, hi: float, size
     random(size) yields the doubles of size random() calls and the ndtri ufunc
     has the bits of cs.ndtri.  Tail windows loop the scalar kernel.
     """
-    if sd <= 0 or not math.isfinite(sd):
-        raise ValueError("sample_trunc_normal requires sd > 0")
-    if not lo < hi:
-        raise ValueError("truncation window requires lo < hi")
-    a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
-    b = (hi - mean) / sd if math.isfinite(hi) else math.inf
-    if a >= _TAIL_Z or b <= -_TAIL_Z:
+    _, _, masses = _normal_window(mean, sd, lo, hi)
+    if masses is None:
         return np.array([sample_trunc_normal(mean, sd, lo, hi, rng) for _ in range(size)])
-    pa = float(sc.ndtr(a)) if math.isfinite(a) else 0.0
-    pb = float(sc.ndtr(b)) if math.isfinite(b) else 1.0
-    qa = float(sc.ndtr(-a)) if math.isfinite(a) else 1.0
-    qb = float(sc.ndtr(-b)) if math.isfinite(b) else 0.0
-    mass = max(pb - pa, qa - qb)
-    if mass <= 0.0:
-        raise SamplingError("truncated normal window has numerically zero mass",
-                            {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
+    pa, qa, mass = masses
     u_mass = rng.random(size) * mass
     p = pa + u_mass
     high = ~(p <= 0.5)

@@ -10,16 +10,15 @@ base_seed see identical datasets, which pairs their comparisons.
 
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator
-from scipy import special as sc
 
 from .augmented import run_augmented_chain
+from .distributions import sample_trunc_normal_block
 from .errors import ConfigurationError, NumericalError
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, check_config, run_chain
 from .release import UNIT, Budget, GaussianSummary, release
@@ -30,8 +29,6 @@ from .summary import (
     hpd_interval,
     kde_mode,
 )
-
-RESULT_HEADER = "n,eps,mode,prior,mu_true,coverage,coverage_se,avg_len,rmse,errors"
 
 _MODES = ("unconstrained", "constrained", "likelihood")
 
@@ -58,8 +55,11 @@ class Scenario:
             raise ConfigurationError(
                 f"iters must be at least {KDE_MIN_SAMPLES}, the draws kde_mode summarizes")
         if self.n < 2 or self.base_seed < 0:
-            raise ValueError("a scenario needs n >= 2 and base_seed >= 0")
-        Budget(self.eps1, self.eps2)  # rejects the budget before any replication runs
+            raise ConfigurationError("a scenario needs n >= 2 and base_seed >= 0")
+        try:  # rejects the budget before any replication runs
+            Budget(self.eps1, self.eps2)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         check_config(self.n, self.eps2, self.prior, self.mode != "likelihood")
         if not 0.0 < self.truth_mu < 1.0 or self.truth_sigma <= 0:
             raise ConfigurationError("need truth_mu in (0, 1) and truth_sigma > 0")
@@ -78,12 +78,7 @@ class ScenarioResult:
 def generate_dataset(n: int, truth_mu: float, truth_sigma: float,
                      rng: Generator) -> GaussianSummary:
     """Exact moments of n draws from a normal truncated to [0, 1]."""
-    a = (0.0 - truth_mu) / truth_sigma
-    b = (1.0 - truth_mu) / truth_sigma
-    pa, pb = sc.ndtr(a), sc.ndtr(b)
-    u = rng.random(n)
-    y = truth_mu + truth_sigma * sc.ndtri(pa + u * (pb - pa))
-    np.clip(y, 0.0, 1.0, out=y)
+    y = sample_trunc_normal_block(truth_mu, truth_sigma, 0.0, 1.0, n, rng)
     return GaussianSummary(ybar=float(y.mean()), s_sq=float(y.var(ddof=1)), n=n)
 
 
@@ -129,20 +124,15 @@ def _aggregate(scenario: Scenario, recs: list[CoverageRecord | None]) -> Scenari
     )
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """All replications of one scenario, sequentially."""
-    return _aggregate(scenario, [_one_rep(scenario, r) for r in range(scenario.reps)])
-
-
 def _grid_task(args):
     return _one_rep(*args)
 
 
-def run_grid(scenarios, parallelism: int = 1) -> str:
-    """Run a scenario grid; returns the results CSV.
+def run_grid(scenarios, parallelism: int = 1) -> list[ScenarioResult]:
+    """Run a scenario grid; returns one result per scenario, in scenario order.
 
-    Output rows follow scenario order and are byte-identical for any
-    parallelism level because each (scenario, rep) pair owns its seed.
+    The results are identical for any parallelism level because each
+    (scenario, rep) pair owns its seed.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -154,19 +144,7 @@ def run_grid(scenarios, parallelism: int = 1) -> str:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             records = list(pool.map(_grid_task, tasks, chunksize=8))
     remaining = iter(records)  # in task order, from either map
-
-    out = io.StringIO()
-    out.write("# format_version=1\n")
-    out.write(RESULT_HEADER + "\n")
-    for s in scenarios:
-        res = _aggregate(s, [next(remaining) for _ in range(s.reps)])
-        row = (
-            f"{s.n},{s.eps1 + s.eps2:.17g},{s.mode},{s.prior.kind},"
-            f"{s.truth_mu:.17g},{res.coverage:.17g},{res.coverage_se:.17g},"
-            f"{res.avg_len:.17g},{res.rmse:.17g},{res.errors}"
-        )
-        out.write(row + "\n")
-    return out.getvalue()
+    return [_aggregate(s, [next(remaining) for _ in range(s.reps)]) for s in scenarios]
 
 
 def paper_scale(scenario: Scenario) -> Scenario:

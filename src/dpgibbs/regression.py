@@ -66,10 +66,6 @@ class RegRelease:
         if self.eps_per_query <= 0:
             raise ValueError("eps_per_query must be positive")
 
-    @property
-    def total_epsilon(self) -> float:
-        return 11.0 * self.eps_per_query
-
 
 @dataclass(frozen=True)
 class RegPriors:

@@ -80,10 +80,6 @@ class Budget:
         if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
             raise ValueError("Budget requires finite eps1 > 0 and eps2 > 0")
 
-    @property
-    def total(self) -> float:
-        return self.eps1 + self.eps2
-
 
 @dataclass(frozen=True)
 class GaussianSummary:
@@ -170,11 +166,6 @@ def summarize(values, bounds: Bounds) -> GaussianSummary:
     ybar = float(y.mean())
     s_sq = float(y.var(ddof=1))
     return GaussianSummary(ybar=ybar, s_sq=s_sq, n=n)
-
-
-def sensitivities(bounds: Bounds, n: int) -> tuple[float, float]:
-    """Sensitivities of the sample mean and variance on [a, b]: ((b-a)/n, (b-a)^2/n)."""
-    return bounds.sensitivities(n)
 
 
 def release(summary: GaussianSummary, bounds: Bounds, budget: Budget,

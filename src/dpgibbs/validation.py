@@ -20,6 +20,7 @@ from .evidence import (
     jeffreys_divergence_scan,
     laplace_uniform_matching,
 )
+from .release import FORMAT_VERSION
 
 EVIDENCE_GRID = {
     "n": (5, 10, 20),
@@ -144,7 +145,7 @@ def run_validation() -> dict:
     checks += check_tgm_lambda0()
     checks += check_tgm_posterior_oracle()
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

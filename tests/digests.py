@@ -22,15 +22,26 @@ of the error raised, for a fixed list of seeded inputs:
   under a near-singular prior (lambda0 = 1e-30 I) that makes the chain
   project lambda_n; the warnings counts are hashed too;
 - summary: kde_mode and hpd_interval on mixed samples;
-- grid collapsed / grid likelihood: a small run_grid of the collapsed
-  modes, or of the latent-value ("likelihood") mode alone.
+- grid collapsed / grid likelihood: a small grid of the collapsed
+  modes, or of the latent-value ("likelihood") mode alone, through
+  ``simulate``: the results CSV it writes;
+- cli: stdout, stderr, exit code and --out file of in-process cli.main
+  runs of release, infer (moment sampler flat and conjugate, likelihood
+  sampler, each plain and constrained), regress (unconstrained at eps
+  0.1, constrained at eps 10), simulate at parallelism 1 and 2,
+  summarize, and a few commands that exit 2, 3 or 4.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import os
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -38,8 +49,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import dpgibbs.regression as regression_module  # noqa: E402
 from dpgibbs.augmented import run_augmented_chain  # noqa: E402
 from dpgibbs.cli import _read_csv  # noqa: E402
+from dpgibbs.cli import main as cli_main  # noqa: E402
 from dpgibbs.distributions import (  # noqa: E402
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
@@ -61,7 +74,6 @@ from dpgibbs.gibbs import (  # noqa: E402
     predictive_draws,
     run_chain,
 )
-from dpgibbs.harness import Scenario, run_grid  # noqa: E402
 from dpgibbs.regression import (  # noqa: E402
     RegPriors,
     ingest_and_rescale,
@@ -250,13 +262,98 @@ _GRID = {"collapsed": ((31, 0.5, "unconstrained", 1), (100, 0.2, "constrained", 
          "likelihood": ((40, 0.5, "likelihood", 3),)}
 
 
+def _scenarios(rows):
+    return [{"n": n, "eps1": 0.5, "eps2": 0.5, "truth_mu": mu, "truth_sigma": 0.2,
+             "mode": mode, "prior": {"kind": "flat"}, "reps": 3, "iters": 300,
+             "base_seed": seed} for n, mu, mode, seed in rows]
+
+
+def _run_cli(argv, out=None):
+    """Exit code, stdout, stderr and the --out file's text of one in-process cli.main run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv + (["--out", out] if out else []))
+    text = Path(out).read_text() if out and Path(out).exists() else ""
+    return code, stdout.getvalue(), stderr.getvalue(), text
+
+
+@contextlib.contextmanager
+def _workdir():
+    """A fresh temporary working directory, so that file names in messages are relative."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(old)
+
+
 def grid(kind: str) -> str:
-    scenarios = [
-        Scenario(n=n, eps1=0.5, eps2=0.5, truth_mu=mu, truth_sigma=0.2, mode=mode,
-                 prior=PriorSpec.flat(), reps=3, iters=300, base_seed=seed)
-        for n, mu, mode, seed in _GRID[kind]
+    with _workdir():
+        Path("grid.json").write_text(json.dumps({"scenarios": _scenarios(_GRID[kind])}))
+        code, _, err, csv = _run_cli(["simulate", "--grid", "grid.json"], "results.csv")
+    if code or err:
+        raise RuntimeError(f"simulate exited {code}: {err}")
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+def cli() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(606)
+    demo = resources.files("dpgibbs").joinpath("data/demo_regression.csv").read_text()
+    nig = {"kind": "nig", "mu0": 12.5, "kappa0": 1.0, "nu0": 1.0, "sigma0_sq": 14.44}
+    infer = ["infer", "--release", "release.json", "--iters", "1500", "--seed", "2"]
+    regress = ["regress", "--data", "demo.csv", "--iters", "600", "--seed", "3"]
+    simulate = ["simulate", "--grid", "grid.json", "--parallelism"]
+    runs = [
+        (["release", "--data", "data.csv", "--lower", "0", "--upper", "100",
+          "--eps1", "0.25", "--eps2", "0.25", "--seed", "1"], "release.json"),
+        (infer, None), (infer + ["--constrained"], None),
+        (infer + ["--prior", "nig.json"], None),
+        (infer + ["--prior", "nig.json", "--constrained"], "draws.csv"),
+        (infer + ["--sampler", "likelihood", "--iters", "300"], None),
+        (infer + ["--sampler", "likelihood", "--iters", "300", "--constrained"], None),
+        (regress + ["--eps-per-query", "0.1"], None),
+        (regress + ["--eps-per-query", "10", "--constrained"], "regress.csv"),
+        (simulate + ["1"], "results1.csv"), (simulate + ["2"], "results2.csv"),
+        (["summarize", "--draws", "draws.csv", "--column", "sigma_sq"], None),
+        (["summarize", "--draws", "regress.csv", "--column", "theta1", "--mass", "0.5"],
+         "summary.json"),
+        # exit 2: flag values and a grid no sampler can run
+        (infer + ["--burn-in", "1500"], None),
+        (["summarize", "--draws", "draws.csv", "--mass", "1.5"], None),
+        (["simulate", "--grid", "flat_n2.json"], None),
+        # exit 3: file contents
+        (["release", "--data", "outside.csv", "--lower", "0", "--upper", "1",
+          "--eps1", "1", "--eps2", "1", "--seed", "1"], None),
+        (["infer", "--release", "nig.json", "--seed", "1"], None),
+        (["simulate", "--grid", "bad_n.json"], None),
+        (["summarize", "--draws", "draws.csv", "--column", "nope"], None),
+        # exit 4: a constrained regression whose imputation loop gives up
+        (["regress", "--constrained", "--data", "demo.csv", "--eps-per-query", "1",
+          "--iters", "2000", "--seed", "2"], None),
     ]
-    return hashlib.sha256(run_grid(scenarios).encode()).hexdigest()
+    cap = regression_module._REJECTION_CAP
+    with _workdir():
+        values = np.clip(rng.normal(32.0, 17.0, 43), 0.5, 99.5)
+        Path("data.csv").write_text("value\n" + "\n".join(f"{v:.4f}" for v in values) + "\n")
+        Path("demo.csv").write_text(demo)
+        Path("outside.csv").write_text("value\n0.5\n1.5\n")
+        Path("nig.json").write_text(json.dumps(nig))
+        rows = _scenarios(((30, 0.4, "unconstrained", 7), (60, 0.6, "constrained", 8),
+                           (25, 0.5, "likelihood", 9)))
+        Path("grid.json").write_text(json.dumps({"scenarios": rows}))
+        Path("flat_n2.json").write_text(json.dumps({"scenarios": [{**rows[0], "n": 2}]}))
+        Path("bad_n.json").write_text(json.dumps({"scenarios": [{**rows[0], "n": "ten"}]}))
+        regression_module._REJECTION_CAP = 20  # the exit-4 run gives up quickly
+        try:
+            for argv, out in runs:
+                for part in (" ".join(argv), *_run_cli(argv, out)):
+                    h.update(str(part).encode() + b"\0")
+        finally:
+            regression_module._REJECTION_CAP = cap
+    return h.hexdigest()
 
 
 def main():
@@ -268,7 +365,8 @@ def main():
                      ("predictive", predictive), ("regression", regression),
                      ("summary", summary),
                      ("grid collapsed", lambda: grid("collapsed")),
-                     ("grid likelihood", lambda: grid("likelihood"))):
+                     ("grid likelihood", lambda: grid("likelihood")),
+                     ("cli", cli)):
         print(f"{name:<15} {fn()}", flush=True)
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own sampling paths:
 CDFs come from Simpson quadrature of density formulas, posteriors from
 grid quadrature of closed-form likelihoods, moments from brute-force
-recomputation.  The exception is ``augmented_sweep_reference``: the
+recomputation, and the noisy-mean density from adaptive quadrature of its
+convolution.  The exception is ``augmented_sweep_reference``: the
 latent-value sweep written one latent at a time, with its O(1) moment
 update and acceptance probability as separate helpers, against which the
 package's block-and-scan sweep is checked.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy import special as sc
 
 from dpgibbs.distributions import sample_trunc_normal, tgm_pdf
@@ -90,9 +92,9 @@ def gamma_cdf(shape: float, rate: float):
 
 
 def laplace_gauss_marginal(ybar_star, mu, sigma_sq, n, eps1):
-    """Closed-form Laplace-normal convolution density (erf route).
+    """Closed-form Laplace-normal convolution density (erf route), on arrays.
 
-    Cross-check for the quadrature-based marginal of the noisy mean.
+    The grid oracles below evaluate it on whole (mu, sigma_sq) grids.
     """
     lam = eps1 * n
     s = np.sqrt(sigma_sq / n)
@@ -100,6 +102,41 @@ def laplace_gauss_marginal(ybar_star, mu, sigma_sq, n, eps1):
     t1 = -lam * d + sc.log_ndtr(d / s - lam * s)
     t2 = lam * d + sc.log_ndtr(-d / s - lam * s)
     return 0.5 * lam * np.exp(0.5 * lam * lam * s * s + np.logaddexp(t1, t2))
+
+
+def likelihood_ybar_star_quadrature(ybar_star: float, mu: float, sigma_sq: float, n: int,
+                                    eps1: float) -> float:
+    """Marginal density of the noisy sample mean given (mu, sigma_sq).
+
+    Computed by adaptive quadrature over the latent sample mean, split at
+    the Laplace kink: the independent check of evidence.likelihood_ybar_star.
+    """
+    if sigma_sq <= 0 or n < 2 or eps1 <= 0:
+        raise ValueError("need sigma_sq > 0, n >= 2, eps1 > 0")
+    lam = eps1 * n
+    s = math.sqrt(sigma_sq / n)
+
+    def integrand(y):
+        return (0.5 * lam * math.exp(-lam * abs(ybar_star - y))
+                * math.exp(-0.5 * ((y - mu) / s) ** 2) / (s * math.sqrt(2 * math.pi)))
+
+    # The two factors can live on wildly different scales; place breakpoints
+    # on both so the adaptive panels never straddle an unseen spike.
+    lo = min(mu - 12.0 * s, ybar_star - 60.0 / lam)
+    hi = max(mu + 12.0 * s, ybar_star + 60.0 / lam)
+    cuts = {lo, hi, ybar_star, mu}
+    for k in (1.0, 2.0, 4.0, 8.0):
+        cuts.update((mu - k * s, mu + k * s))
+    for j in (1.0, 5.0, 15.0, 45.0):
+        cuts.update((ybar_star - j / lam, ybar_star + j / lam))
+    edges = sorted(c for c in cuts if lo <= c <= hi)
+    val = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if b > a:
+            piece, _ = integrate.quad(integrand, a, b, epsabs=1e-14,
+                                      epsrel=1e-10, limit=100)
+            val += piece
+    return float(val)
 
 
 def flat_posterior_grid_oracle(ybar_star: float, s_sq_star: float, n: int,

@@ -220,10 +220,9 @@ def test_criterion_08_coverage_calibration_desk_scale():
                  iters=5000, base_seed=808)
         for n in (100, 316, 1000)
     ]
-    csv = run_grid(scenarios, parallelism=1)
-    rows = [ln.split(",") for ln in csv.strip().split("\n")[2:]]
-    coverages = [float(r[5]) for r in rows]
-    lengths = [float(r[7]) for r in rows]
+    results = run_grid(scenarios, parallelism=1)
+    coverages = [r.coverage for r in results]
+    lengths = [r.avg_len for r in results]
     ok = True
     for (n, cov) in zip((100, 316, 1000), coverages):
         ok &= report(8, abs(cov - 0.95) <= 0.03,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dpgibbs.evidence import (
@@ -12,7 +14,7 @@ from dpgibbs.evidence import (
     likelihood_s2_star,
     likelihood_ybar_star,
 )
-from oracles import laplace_gauss_marginal
+from oracles import likelihood_ybar_star_quadrature
 
 
 class TestLikelihoodS2Star:
@@ -76,9 +78,26 @@ class TestLikelihoodYbarStar:
         for y, mu, s2, n, e1 in [(0.6, 0.5, 0.04, 20, 0.1),
                                  (0.1, 0.4, 0.01, 50, 0.5),
                                  (-0.3, 0.2, 0.09, 10, 0.25)]:
-            quad_val = likelihood_ybar_star(y, mu, s2, n, e1)
-            closed = float(laplace_gauss_marginal(y, mu, s2, n, e1))
-            assert quad_val == pytest.approx(closed, rel=1e-8)
+            closed = likelihood_ybar_star(y, mu, s2, n, e1)
+            quad_val = likelihood_ybar_star_quadrature(y, mu, s2, n, e1)
+            assert closed == pytest.approx(quad_val, rel=1e-8)
+
+    @given(st.floats(math.log(3.0), math.log(1e6)), st.floats(1e-3, 10.0),
+           st.floats(1e-6, 0.25), st.floats(-5.0, 5.0))
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_closed_form_across_regimes(self, log_n, eps1, sigma_sq, d):
+        # The quadrature's absolute tolerance (epsabs = 1e-14) is the only one
+        # that binds below it: at densities near 1e-97 it is off by up to 7e-8
+        # relative while the closed form agrees with 50-digit arithmetic to 1e-15.
+        n = round(math.exp(log_n))
+        val = likelihood_ybar_star(d, 0.0, sigma_sq, n, eps1)
+        mirror = likelihood_ybar_star(-d, 0.0, sigma_sq, n, eps1)
+        assert math.isfinite(val) and val >= 0.0
+        assert mirror == pytest.approx(val, rel=1e-12, abs=0.0)
+        quad_val = likelihood_ybar_star_quadrature(d, 0.0, sigma_sq, n, eps1)
+        if quad_val > 1e-14:
+            assert val == pytest.approx(quad_val, rel=1e-8)
 
 
 class TestFlatEvidence:

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 import dpgibbs.harness as harness
+from dpgibbs.distributions import sample_trunc_normal_block
 from dpgibbs.errors import ConfigurationError, SamplingError
 from dpgibbs.gibbs import PriorSpec
-from dpgibbs.harness import (
-    RESULT_HEADER,
-    Scenario,
-    generate_dataset,
-    paper_scale,
-    run_grid,
-    run_scenario,
-)
+from dpgibbs.harness import Scenario, generate_dataset, paper_scale, run_grid
 from oracles import truncnorm_mean_quadrature
 
 
@@ -46,10 +40,15 @@ class TestGenerateDataset:
         expected = truncnorm_mean_quadrature(0.1, 0.5)
         assert abs(s.ybar - expected) < 0.005
 
+    def test_moments_of_the_block_kernel(self):
+        s = generate_dataset(500, 0.3, 0.25, np.random.default_rng(8))
+        y = sample_trunc_normal_block(0.3, 0.25, 0.0, 1.0, 500, np.random.default_rng(8))
+        assert (s.ybar, s.s_sq, s.n) == (float(y.mean()), float(y.var(ddof=1)), 500)
+
 
 class TestRunScenario:
     def test_small_run_aggregates(self):
-        res = run_scenario(small_scenario())
+        [res] = run_grid([small_scenario()])
         assert 0.0 <= res.coverage <= 1.0
         assert res.avg_len > 0 and res.rmse >= 0
         assert res.errors == 0
@@ -57,7 +56,7 @@ class TestRunScenario:
 
     def test_modes_dispatch(self):
         for mode in ("unconstrained", "constrained", "likelihood"):
-            res = run_scenario(small_scenario(mode=mode, reps=2, iters=200, n=20))
+            [res] = run_grid([small_scenario(mode=mode, reps=2, iters=200, n=20)])
             assert res.errors == 0
 
     def test_invalid_mode_rejected(self):
@@ -76,36 +75,17 @@ class TestRunScenario:
 
 
 class TestRunGrid:
-    def test_single_scenario_matches_run_scenario(self):
-        s = small_scenario()
-        res = run_scenario(s)
-        csv = run_grid([s], parallelism=1)
-        line = csv.strip().split("\n")[-1]
-        cells = line.split(",")
-        assert float(cells[5]) == res.coverage
-        assert float(cells[7]) == pytest.approx(res.avg_len)
-        assert float(cells[8]) == pytest.approx(res.rmse)
-
-    def test_header_and_format_version(self):
-        csv = run_grid([small_scenario(reps=2, iters=100)], parallelism=1)
-        lines = csv.strip().split("\n")
-        assert lines[0] == "# format_version=1"
-        assert lines[1] == RESULT_HEADER
-
     def test_parallelism_levels_byte_identical(self):
         grid = [small_scenario(reps=4, iters=200),
                 small_scenario(mode="constrained", reps=4, iters=200, base_seed=7)]
-        csv1 = run_grid(grid, parallelism=1)
-        csv2 = run_grid(grid, parallelism=2)
-        assert csv1 == csv2
+        assert run_grid(grid, parallelism=1) == run_grid(grid, parallelism=2)
 
     def test_scenario_results_independent_of_grid_position(self):
         a = small_scenario(reps=3, iters=200, base_seed=1)
         b = small_scenario(mode="constrained", reps=3, iters=200, base_seed=2)
-        rows_ab = run_grid([a, b], parallelism=1).strip().split("\n")[2:]
-        rows_ba = run_grid([b, a], parallelism=1).strip().split("\n")[2:]
-        assert rows_ab[0] == rows_ba[1]
-        assert rows_ab[1] == rows_ba[0]
+        res_ab = run_grid([a, b], parallelism=1)
+        res_ba = run_grid([b, a], parallelism=1)
+        assert res_ab == res_ba[::-1]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):

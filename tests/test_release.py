@@ -12,30 +12,29 @@ from dpgibbs.release import (
     GaussianSummary,
     PrivateRelease,
     release,
-    sensitivities,
     summarize,
 )
 
 
 class TestSensitivities:
     def test_lead_example_scale(self):
-        mean_s, var_s = sensitivities(Bounds(0.0, 100.0), 43)
+        mean_s, var_s = Bounds(0.0, 100.0).sensitivities(43)
         assert mean_s == pytest.approx(100.0 / 43.0)
         assert var_s == pytest.approx(10000.0 / 43.0)
 
     def test_unit_interval(self):
         for n in (2, 17, 500):
-            assert sensitivities(UNIT, n) == (1.0 / n, 1.0 / n)
+            assert UNIT.sensitivities(n) == (1.0 / n, 1.0 / n)
 
     def test_scale_covariance(self):
-        m1, v1 = sensitivities(Bounds(0.0, 1.0), 10)
-        m2, v2 = sensitivities(Bounds(0.0, 2.0), 10)
+        m1, v1 = Bounds(0.0, 1.0).sensitivities(10)
+        m2, v2 = Bounds(0.0, 2.0).sensitivities(10)
         assert m2 == pytest.approx(2.0 * m1)
         assert v2 == pytest.approx(4.0 * v1)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            sensitivities(UNIT, 1)
+            UNIT.sensitivities(1)
 
 
 class TestRescaling:
