@@ -10,13 +10,11 @@ from .release import (
 )
 from .gibbs import (
     ConstraintMode,
-    GibbsState,
     PosteriorDraws,
     PredictiveMode,
     PriorSpec,
     SamplerConfig,
     gibbs_step,
-    init_state,
     predictive_draws,
     run_chain,
 )
@@ -37,7 +35,6 @@ __all__ = [
     "ConstraintMode",
     "CoverageRecord",
     "GaussianSummary",
-    "GibbsState",
     "IntervalEstimate",
     "PosteriorDraws",
     "PredictiveMode",
@@ -48,7 +45,6 @@ __all__ = [
     "ess",
     "gibbs_step",
     "hpd_interval",
-    "init_state",
     "kde_mode",
     "mc_se",
     "predictive_draws",

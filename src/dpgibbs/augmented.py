@@ -124,15 +124,10 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
 
     rng = np.random.default_rng(config.seed)
     state = _init_augmented(release_unit, rng)
-    kept = config.kept
-    mu = np.empty(len(kept))
-    sigma_sq = np.empty(len(kept))
-    ybar = np.empty(len(kept))
-    s_sq = np.empty(len(kept))
-
-    k = 0
     since_refresh = 0
-    for t in range(config.iters):
+
+    def sweep(t):
+        nonlocal since_refresh
         since_refresh += augmented_sweep(state, release_unit, prior_unit,
                                          constrained, rng)
         if since_refresh >= _REFRESH_EVERY:
@@ -145,11 +140,8 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
                 )
             state.ybar, state.s_sq = exact_ybar, exact_s_sq
             since_refresh = 0
-        if t in kept:
-            mu[k] = state.mu
-            sigma_sq[k] = state.sigma_sq
-            ybar[k] = state.ybar
-            s_sq[k] = state.s_sq
-            k += 1
+        return state.mu, state.sigma_sq, state.ybar, state.s_sq
+
+    mu, sigma_sq, ybar, s_sq = config.record(sweep, 4)
     return PosteriorDraws(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
                           omega_sq_inv=None, config=config)

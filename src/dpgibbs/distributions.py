@@ -21,9 +21,9 @@ The centrepiece is the truncated gamma mixture (TGM), the distribution
 of a gamma-distributed quantity observed through additive two-sided
 exponential noise: shape alpha, central rate beta, noise rate lam and
 observation tau, with alpha > 0 and beta > lam >= 0.  Its mixture
-weights are computed in log space (``_tgm_log_weights``, also used by
-evidence.py) to survive the large ``exp(lam * tau)`` factors that appear
-in the weight formulas.
+weights are computed in log space (``_tgm_log_weights``, used by
+``sample_tgm`` and by the test oracles) to survive the large
+``exp(lam * tau)`` factors that appear in the weight formulas.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .errors import SamplingError
 _LOG_EPS = 1e-17  # relative series cutoff for log incomplete-gamma fallbacks
 _TAIL_Z = 6.0  # standardized distance beyond which normal tails use rejection
 _MIN_WINDOW_MASS = 1e-12
+_GAMMA_TAIL_BUDGET = 1000  # proposals per truncated gamma tail draw
+_NORMAL_TAIL_BUDGET = 10000  # proposals per truncated normal tail draw
 
 
 def _log_reg_inc_gamma_lower(a: float, x: float) -> float:
@@ -129,57 +131,8 @@ def _first_weight(d: float) -> float:
     return 1.0 / (1.0 + math.exp(d))
 
 
-def tgm_weights(alpha: float, beta: float, lam: float, tau: float) -> tuple[float, float]:
-    """Mixture weights (pi1, pi2) of the TGM for tau > 0.
-
-    pi1 weighs the rate beta-lam component on (0, tau]; pi2 weighs the
-    rate beta+lam component on (tau, inf).  Computed in log space; the
-    pair sums to one.
-    """
-    _check_tgm(alpha, beta, lam, tau)
-    if tau <= 0:
-        raise ValueError("tgm_weights requires tau > 0; the tau <= 0 case is a plain gamma")
-    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, math.inf)
-    if log_w1 == -math.inf and log_w2 == -math.inf:
-        raise SamplingError("TGM weights underflowed on both components",
-                            {"params": (alpha, beta, lam, tau)})
-    pi1 = _first_weight(log_w2 - log_w1)
-    return pi1, 1.0 - pi1
-
-
-def tgm_pdf(alpha: float, beta: float, lam: float, tau: float, x: float) -> float:
-    """Density of the TGM at x > 0."""
-    _check_tgm(alpha, beta, lam, tau)
-    if not x > 0:
-        raise ValueError("tgm_pdf requires x > 0")
-    a = alpha
-    if tau <= 0:
-        rate = beta + lam
-        logpdf = a * math.log(rate) - cs.gammaln(a) + (a - 1.0) * math.log(x) - rate * x
-        return math.exp(logpdf)
-    pi1, pi2 = tgm_weights(alpha, beta, lam, tau)
-    if x <= tau:
-        rate = beta - lam
-        log_norm = cs.gammaln(a) + _log_reg_inc_gamma_lower(a, rate * tau)
-        pi = pi1
-    else:
-        rate = beta + lam
-        log_norm = cs.gammaln(a) + _log_reg_inc_gamma_upper(a, rate * tau)
-        pi = pi2
-    if pi == 0.0:
-        return 0.0
-    logpdf = (
-        math.log(pi)
-        + a * math.log(rate)
-        - log_norm
-        + (a - 1.0) * math.log(x)
-        - rate * x
-    )
-    return math.exp(logpdf)
-
-
 def _trunc_gamma_right_tail(shape: float, rate: float, lo: float, hi: float,
-                            rng: Generator, budget: int = 1000) -> float:
+                            rng: Generator) -> float:
     """Rejection sampler for a gamma restricted far into its right tail."""
     rate_p = rate - (shape - 1.0) / lo if shape > 1.0 else rate
     if rate_p <= 0:
@@ -187,7 +140,7 @@ def _trunc_gamma_right_tail(shape: float, rate: float, lo: float, hi: float,
             "gamma right-tail sampler needs the window beyond the mode",
             {"shape": shape, "rate": rate, "lo": lo, "hi": hi},
         )
-    for _ in range(budget):
+    for _ in range(_GAMMA_TAIL_BUDGET):
         x = lo + rng.exponential(1.0 / rate_p)
         if x > hi:
             continue
@@ -199,12 +152,12 @@ def _trunc_gamma_right_tail(shape: float, rate: float, lo: float, hi: float,
             return x
     raise SamplingError(
         "gamma right-tail rejection exhausted its retry budget",
-        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": budget},
+        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": _GAMMA_TAIL_BUDGET},
     )
 
 
 def _trunc_gamma_left_tail(shape: float, rate: float, lo: float, hi: float,
-                           rng: Generator, budget: int = 1000) -> float:
+                           rng: Generator) -> float:
     """Rejection sampler for a gamma restricted far into its left tail.
 
     Valid when the density is increasing on the window (mode beyond hi);
@@ -217,7 +170,7 @@ def _trunc_gamma_left_tail(shape: float, rate: float, lo: float, hi: float,
             {"shape": shape, "rate": rate, "lo": lo, "hi": hi},
         )
     width = hi - lo
-    for _ in range(budget):
+    for _ in range(_GAMMA_TAIL_BUDGET):
         y = rng.exponential(1.0 / rate_p)
         if y >= width:
             continue
@@ -227,7 +180,7 @@ def _trunc_gamma_left_tail(shape: float, rate: float, lo: float, hi: float,
             return hi - y
     raise SamplingError(
         "gamma left-tail rejection exhausted its retry budget",
-        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": budget},
+        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": _GAMMA_TAIL_BUDGET},
     )
 
 
@@ -321,10 +274,10 @@ def sample_tgm(alpha: float, beta: float, lam: float, tau: float, upper: float,
     return sample_trunc_gamma(alpha, beta + lam, tau, upper, rng)
 
 
-def _trunc_normal_tail(a: float, b: float, rng: Generator, budget: int = 10000) -> float:
+def _trunc_normal_tail(a: float, b: float, rng: Generator) -> float:
     """Robert's exponential-proposal sampler for a standard normal on [a, b], a >= 0."""
     lam = (a + math.sqrt(a * a + 4.0)) / 2.0
-    for _ in range(budget):
+    for _ in range(_NORMAL_TAIL_BUDGET):
         z = a + rng.exponential(1.0 / lam)
         if z > b:
             continue
@@ -332,7 +285,7 @@ def _trunc_normal_tail(a: float, b: float, rng: Generator, budget: int = 10000) 
         if math.log(rng.random()) < -0.5 * diff * diff:
             return z
     raise SamplingError("truncated normal tail rejection exhausted its budget",
-                        {"a": a, "b": b, "budget": budget})
+                        {"a": a, "b": b, "budget": _NORMAL_TAIL_BUDGET})
 
 
 def _normal_window(mean: float, sd: float, lo: float, hi: float):

@@ -1,13 +1,12 @@
 """Executable forms of the propriety and matching results.
 
-Four pieces: closed-form marginal likelihoods of the noisy statistics,
-the flat-prior evidence in closed form and by independent quadrature, a
-divergence witness for the scale-invariant prior, and the
+Three pieces: the flat-prior evidence in closed form and by independent
+quadrature, a divergence witness for the scale-invariant prior, and the
 Laplace-uniform credible/confidence matching identity.
 
-Every closed form here has a numerically independent counterpart: the
-quadrature routines never touch the incomplete-gamma split used by the
-closed forms, and tests/oracles.py integrates the noisy-mean density.
+The evidence quadrature never touches the closed form it is checked
+against.  The closed-form densities of the noisy statistics are test
+references, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy import special as sc
 from scipy.special import cython_special as cs
 
-from .distributions import _tgm_log_weights
 from .errors import NumericalError
 from .summary import IntervalEstimate
 
@@ -35,52 +32,6 @@ class EvidenceReport:
     @property
     def rel_err(self) -> float:
         return abs(self.closed_form - self.quadrature) / abs(self.closed_form)
-
-
-def likelihood_s2_star(s2_star: float, sigma_sq: float, n: int, eps2: float) -> float:
-    """Exact marginal density of the noisy sample variance given sigma_sq.
-
-    Valid while the gamma rate (n-1)/(2 sigma_sq) exceeds the noise rate
-    eps2 n, which is what makes the incomplete-gamma split converge.
-    """
-    if sigma_sq <= 0 or n < 2 or eps2 <= 0:
-        raise ValueError("need sigma_sq > 0, n >= 2, eps2 > 0")
-    a = (n - 1.0) / 2.0
-    big_b = (n - 1.0) / (2.0 * sigma_sq)
-    lam = eps2 * n
-    if not big_b > lam:
-        raise ValueError(
-            f"(n-1)/(2 sigma_sq) = {big_b} must exceed eps2 n = {lam}"
-        )
-    if s2_star <= 0:
-        return 0.5 * lam * math.exp(lam * s2_star + a * math.log(big_b / (big_b + lam)))
-    log_w1, log_w2 = _tgm_log_weights(a, big_b, lam, s2_star, math.inf)
-    log_f = (
-        math.log(lam / 2.0)
-        + a * math.log(big_b)
-        - cs.gammaln(a)
-        + np.logaddexp(log_w1, log_w2)
-    )
-    return float(math.exp(log_f))
-
-
-def likelihood_ybar_star(ybar_star: float, mu: float, sigma_sq: float, n: int,
-                         eps1: float) -> float:
-    """Marginal density of the noisy sample mean given (mu, sigma_sq).
-
-    The Laplace-normal convolution in closed form: with d = ybar_star - mu,
-    s^2 = sigma_sq / n and lam = eps1 n it is (lam/2) exp(lam^2 s^2 / 2)
-    [e^(-lam d) Phi(d/s - lam s) + e^(lam d) Phi(-d/s - lam s)], summed in
-    log space.  Symmetric in d.
-    """
-    if sigma_sq <= 0 or n < 2 or eps1 <= 0:
-        raise ValueError("need sigma_sq > 0, n >= 2, eps1 > 0")
-    lam = eps1 * n
-    s = math.sqrt(sigma_sq / n)
-    d = ybar_star - mu
-    t1 = -lam * d + sc.log_ndtr(d / s - lam * s)
-    t2 = lam * d + sc.log_ndtr(-d / s - lam * s)
-    return float(0.5 * lam * np.exp(0.5 * lam * lam * s * s + np.logaddexp(t1, t2)))
 
 
 def flat_evidence_closed(s2_star: float, n: int, eps2: float) -> float:

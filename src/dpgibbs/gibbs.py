@@ -24,12 +24,14 @@ This module owns the mu and sigma_sq conditionals (draw_mu,
 draw_sigma_sq), which the latent-value sampler in augmented.py shares;
 only the collapsed sampler adds the TGM precision floor and cap on
 sigma_sq.  The feasibility windows come from feasible.py and the
-variate kernels from distributions.py.
+variate kernels from distributions.py.  SamplerConfig.record is the one
+chain loop: every sampler, regression's too, hands it a sweep.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -151,6 +153,22 @@ class SamplerConfig:
         """Iterations whose state is stored: every thin-th after burn-in."""
         burn_in = self.burn_in if self.burn_in is not None else self.iters // 10
         return range(burn_in, self.iters, self.thin)
+
+    def record(self, sweep, width: int) -> np.ndarray:
+        """Run sweep(t) for every iteration t and keep the values of the kept ones.
+
+        sweep returns a sequence of width floats; the result holds one
+        C-contiguous row per value, one column per kept iteration.  The
+        values are appended to a flat array of doubles, which costs less
+        per sweep than a row store into a numpy array.
+        """
+        kept = self.kept
+        buf = array("d")
+        for t in range(self.iters):
+            values = sweep(t)
+            if t in kept:
+                buf.extend(values)
+        return np.frombuffer(buf).reshape(len(kept), width).T.copy()
 
 
 @dataclass(frozen=True)
@@ -324,23 +342,13 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
 
     rng = np.random.default_rng(config.seed)
     state = init_state(release_unit)
-    kept = config.kept
-    mu = np.empty(len(kept))
-    sigma_sq = np.empty(len(kept))
-    ybar = np.empty(len(kept))
-    s_sq = np.empty(len(kept))
-    omega_sq_inv = np.empty(len(kept))
 
-    k = 0
-    for t in range(config.iters):
+    def sweep(t):
+        nonlocal state
         state = gibbs_step(state, release_unit, prior_unit, mode, rng)
-        if t in kept:
-            mu[k] = state.mu
-            sigma_sq[k] = state.sigma_sq
-            ybar[k] = state.ybar
-            s_sq[k] = state.s_sq
-            omega_sq_inv[k] = state.omega_sq_inv
-            k += 1
+        return state.mu, state.sigma_sq, state.ybar, state.s_sq, state.omega_sq_inv
+
+    mu, sigma_sq, ybar, s_sq, omega_sq_inv = config.record(sweep, 5)
     return PosteriorDraws(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
                           omega_sq_inv=omega_sq_inv, config=config)
 

@@ -349,10 +349,10 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     } if constrained else {}
     precision_lo = 4.0 if constrained else 0.0  # 1/sigma_sq >= 4 is sigma_sq <= 1/4
 
-    kept = config.kept
-    out = np.empty((len(kept), p + 3))  # theta0, theta1, sigma_sq, statistics
     warnings = {"lambda_psd_projected": 0, "b_n_clamped": 0}
-    for t in range(config.iters):
+
+    def sweep(t):
+        nonlocal theta, sigma_sq
         mu_3, chol_prec = _statistics_conditional(theta, sigma_sq, model, n, constrained,
                                                   omega_inv, z_active)
         stats = _first_passing(
@@ -376,10 +376,8 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
         for j in range(p):
             diff = max(abs(z_active[j] - stats[j]), _DIFF_FLOOR)
             omega_inv[j] = sample_inverse_gaussian(eps_q / diff, eps_q * eps_q, rng)
+        return np.concatenate((theta, [sigma_sq], stats))
 
-        if t in kept:
-            out[kept.index(t)] = np.concatenate((theta, [sigma_sq], stats))
-
-    return RegressionDraws(theta0=out[:, 0].copy(), theta1=out[:, 1].copy(),
-                           sigma_sq=out[:, 2].copy(), stats=out[:, 3:].copy(),
-                           config=config, warnings=warnings)
+    cols = config.record(sweep, p + 3)  # theta0, theta1, sigma_sq, statistics
+    return RegressionDraws(theta0=cols[0], theta1=cols[1], sigma_sq=cols[2],
+                           stats=cols[3:].T.copy(), config=config, warnings=warnings)

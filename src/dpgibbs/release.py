@@ -58,13 +58,6 @@ class Bounds:
         w = self.width
         return self.a + w * mean, w * w * var
 
-    def sensitivities(self, n: int) -> tuple[float, float]:
-        """Sensitivities of the sample mean and variance: ((b-a)/n, (b-a)^2/n)."""
-        if n < 2:
-            raise ValueError("sensitivities require n >= 2")
-        w = self.width
-        return w / n, w * w / n
-
 
 UNIT = Bounds(0.0, 1.0)
 

@@ -52,7 +52,6 @@ def weighted_ecdf_sup_distance(sample: np.ndarray, points: np.ndarray,
     f_sample = np.searchsorted(sample, grid, side="right") / sample.size
     idx = np.searchsorted(pts, grid, side="right")
     f_weighted = np.where(idx > 0, wcdf[np.minimum(idx, pts.size) - 1], 0.0)
-    f_weighted = np.where(idx == 0, 0.0, f_weighted)
     return float(np.abs(f_sample - f_weighted).max())
 
 

@@ -1,7 +1,8 @@
 """SHA-256 digests of the package's seeded output, one line per layer.
 
 Run as ``python tests/digests.py`` from the root of a checkout; it imports
-the package from that checkout's ``src``.  Two trees that print the same
+the package from that checkout's ``src``, and the TGM weights, the TGM
+density and the noisy-variance density from ``tests/oracles.py``.  Two trees that print the same
 lines produce the same bytes on every path covered here, so a change that
 claims byte-identical output can be checked by running this script on
 both.  It is not a test and takes no options.
@@ -10,7 +11,8 @@ Each digest hashes float.hex of every value produced, or the class name
 of the error raised, for a fixed list of seeded inputs:
 
 - kernels: 4 000 random parameter sets through every distributions
-  kernel and the log incomplete gammas behind the TGM weights;
+  kernel, the log incomplete gammas behind the TGM weights, and the
+  oracles' tgm_weights, tgm_pdf and likelihood_s2_star;
 - chain flat / chain nig: run_chain under the flat or the conjugate
   prior, in both constraint modes, on releases with n from 3 to 10**6,
   eps up to the 2(n-1)/n limit and noisy statistics outside [0, 1], plus
@@ -61,11 +63,8 @@ from dpgibbs.distributions import (  # noqa: E402
     sample_tgm,
     sample_trunc_gamma,
     sample_trunc_normal,
-    tgm_pdf,
-    tgm_weights,
 )
 from dpgibbs.errors import DpGibbsError  # noqa: E402
-from dpgibbs.evidence import likelihood_s2_star  # noqa: E402
 from dpgibbs.gibbs import (  # noqa: E402
     ConstraintMode,
     PredictiveMode,
@@ -82,6 +81,7 @@ from dpgibbs.regression import (  # noqa: E402
 )
 from dpgibbs.release import UNIT, Bounds, Budget, PrivateRelease  # noqa: E402
 from dpgibbs.summary import hpd_interval, kde_mode  # noqa: E402
+from oracles import likelihood_s2_star, tgm_pdf, tgm_weights  # noqa: E402
 
 # per kind: (prior for the unit-scale releases, prior for the blood-lead release on [0, 100])
 _PRIORS = {"flat": (PriorSpec.flat(), PriorSpec.flat()),

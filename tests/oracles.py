@@ -3,11 +3,17 @@
 Everything here deliberately avoids the library's own sampling paths:
 CDFs come from Simpson quadrature of density formulas, posteriors from
 grid quadrature of closed-form likelihoods, moments from brute-force
-recomputation, and the noisy-mean density from adaptive quadrature of its
-convolution.  The exception is ``augmented_sweep_reference``: the
-latent-value sweep written one latent at a time, with its O(1) moment
-update and acceptance probability as separate helpers, against which the
-package's block-and-scan sweep is checked.
+recomputation, and the noisy-mean density also from adaptive quadrature
+of its convolution.  The closed-form densities live here because only
+tests use them: the TGM weights and density (``tgm_weights``,
+``tgm_pdf``, which share the log-space weights of
+``dpgibbs.distributions`` with the TGM sampler) and the noisy-statistic
+likelihoods (``likelihood_s2_star``, ``laplace_gauss_marginal``).
+
+The exception is ``augmented_sweep_reference``: the latent-value sweep
+written one latent at a time, with its O(1) moment update and acceptance
+probability as separate helpers, against which the package's
+block-and-scan sweep is checked.
 """
 
 from __future__ import annotations
@@ -17,8 +23,17 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy import special as sc
+from scipy.special import cython_special as cs
 
-from dpgibbs.distributions import sample_trunc_normal, tgm_pdf
+from dpgibbs.distributions import (
+    _check_tgm,
+    _first_weight,
+    _log_reg_inc_gamma_lower,
+    _log_reg_inc_gamma_upper,
+    _tgm_log_weights,
+    sample_trunc_normal,
+)
+from dpgibbs.errors import SamplingError
 from dpgibbs.gibbs import draw_mu, draw_sigma_sq
 from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
 
@@ -43,6 +58,55 @@ def simpson_cdf_of_pdf(pdf, lo: float, hi: float, n_points: int = 20001,
     if normalize:
         cdf = cdf / cdf[-1]
     return grid, cdf
+
+
+def tgm_weights(alpha: float, beta: float, lam: float, tau: float) -> tuple[float, float]:
+    """Mixture weights (pi1, pi2) of the TGM for tau > 0.
+
+    pi1 weighs the rate beta-lam component on (0, tau]; pi2 weighs the
+    rate beta+lam component on (tau, inf).  Computed in log space; the
+    pair sums to one.
+    """
+    _check_tgm(alpha, beta, lam, tau)
+    if tau <= 0:
+        raise ValueError("tgm_weights requires tau > 0; the tau <= 0 case is a plain gamma")
+    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, math.inf)
+    if log_w1 == -math.inf and log_w2 == -math.inf:
+        raise SamplingError("TGM weights underflowed on both components",
+                            {"params": (alpha, beta, lam, tau)})
+    pi1 = _first_weight(log_w2 - log_w1)
+    return pi1, 1.0 - pi1
+
+
+def tgm_pdf(alpha: float, beta: float, lam: float, tau: float, x: float) -> float:
+    """Density of the TGM at x > 0."""
+    _check_tgm(alpha, beta, lam, tau)
+    if not x > 0:
+        raise ValueError("tgm_pdf requires x > 0")
+    a = alpha
+    if tau <= 0:
+        rate = beta + lam
+        logpdf = a * math.log(rate) - cs.gammaln(a) + (a - 1.0) * math.log(x) - rate * x
+        return math.exp(logpdf)
+    pi1, pi2 = tgm_weights(alpha, beta, lam, tau)
+    if x <= tau:
+        rate = beta - lam
+        log_norm = cs.gammaln(a) + _log_reg_inc_gamma_lower(a, rate * tau)
+        pi = pi1
+    else:
+        rate = beta + lam
+        log_norm = cs.gammaln(a) + _log_reg_inc_gamma_upper(a, rate * tau)
+        pi = pi2
+    if pi == 0.0:
+        return 0.0
+    logpdf = (
+        math.log(pi)
+        + a * math.log(rate)
+        - log_norm
+        + (a - 1.0) * math.log(x)
+        - rate * x
+    )
+    return math.exp(logpdf)
 
 
 def tgm_quadrature_cdf(params: tuple[float, float, float, float],
@@ -91,10 +155,41 @@ def gamma_cdf(shape: float, rate: float):
     return lambda x: sc.gammainc(shape, rate * np.asarray(x, dtype=float))
 
 
-def laplace_gauss_marginal(ybar_star, mu, sigma_sq, n, eps1):
-    """Closed-form Laplace-normal convolution density (erf route), on arrays.
+def likelihood_s2_star(s2_star: float, sigma_sq: float, n: int, eps2: float) -> float:
+    """Exact marginal density of the noisy sample variance given sigma_sq.
 
-    The grid oracles below evaluate it on whole (mu, sigma_sq) grids.
+    Valid while the gamma rate (n-1)/(2 sigma_sq) exceeds the noise rate
+    eps2 n, which is what makes the incomplete-gamma split converge.
+    """
+    if sigma_sq <= 0 or n < 2 or eps2 <= 0:
+        raise ValueError("need sigma_sq > 0, n >= 2, eps2 > 0")
+    a = (n - 1.0) / 2.0
+    big_b = (n - 1.0) / (2.0 * sigma_sq)
+    lam = eps2 * n
+    if not big_b > lam:
+        raise ValueError(
+            f"(n-1)/(2 sigma_sq) = {big_b} must exceed eps2 n = {lam}"
+        )
+    if s2_star <= 0:
+        return 0.5 * lam * math.exp(lam * s2_star + a * math.log(big_b / (big_b + lam)))
+    log_w1, log_w2 = _tgm_log_weights(a, big_b, lam, s2_star, math.inf)
+    log_f = (
+        math.log(lam / 2.0)
+        + a * math.log(big_b)
+        - cs.gammaln(a)
+        + np.logaddexp(log_w1, log_w2)
+    )
+    return float(math.exp(log_f))
+
+
+def laplace_gauss_marginal(ybar_star, mu, sigma_sq, n, eps1):
+    """Marginal density of the noisy sample mean given (mu, sigma_sq), on arrays.
+
+    The Laplace-normal convolution in closed form: with d = ybar_star - mu,
+    s^2 = sigma_sq / n and lam = eps1 n it is (lam/2) exp(lam^2 s^2 / 2)
+    [e^(-lam d) Phi(d/s - lam s) + e^(lam d) Phi(-d/s - lam s)], summed in
+    log space.  Symmetric in d.  The grid oracles below evaluate it on
+    whole (mu, sigma_sq) grids.
     """
     lam = eps1 * n
     s = np.sqrt(sigma_sq / n)
@@ -109,7 +204,7 @@ def likelihood_ybar_star_quadrature(ybar_star: float, mu: float, sigma_sq: float
     """Marginal density of the noisy sample mean given (mu, sigma_sq).
 
     Computed by adaptive quadrature over the latent sample mean, split at
-    the Laplace kink: the independent check of evidence.likelihood_ybar_star.
+    the Laplace kink: the independent check of laplace_gauss_marginal.
     """
     if sigma_sq <= 0 or n < 2 or eps1 <= 0:
         raise ValueError("need sigma_sq > 0, n >= 2, eps1 > 0")
@@ -172,8 +267,6 @@ def nig_posterior_grid_oracle(ybar_star: float, s_sq_star: float, n: int,
 
 
 def _posterior_grid_means(ybar_star, s_sq_star, n, eps1, eps2, log_prior, n_mu, n_sig):
-    from dpgibbs.evidence import likelihood_s2_star
-
     cap = (n - 1.0) / (2.0 * n * eps2)
     spread = np.sqrt(max(s_sq_star, 1e-4) / n) + 1.0 / (eps1 * n)
     mus = np.linspace(ybar_star - 9 * spread, ybar_star + 9 * spread, n_mu)

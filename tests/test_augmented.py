@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgibbs.augmented as augmented
+import dpgibbs.harness as harness
 from dpgibbs.augmented import _init_augmented, augmented_sweep, run_augmented_chain
 from dpgibbs.distributions import sample_trunc_normal
+from dpgibbs.errors import NumericalError
 from dpgibbs.feasible import pair_feasible
 from dpgibbs.gibbs import (
     ConstraintMode,
@@ -140,6 +142,20 @@ class TestAugmentedChain:
         assert abs(state.ybar - state.y.mean()) < 1e-10
         assert abs(state.s_sq - state.y.var(ddof=1)) < 1e-10
         assert accepted > 0
+
+    def test_drift_guard_fails_the_chain_and_the_replication(self, monkeypatch):
+        """A negative tolerance makes the first cache refresh, after 1000
+        accepted swaps, report drift; the harness counts that replication
+        as failed instead of crashing."""
+        scenario = harness.Scenario(n=60, eps1=0.25, eps2=0.25, truth_mu=0.5,
+                                    truth_sigma=0.2, mode="likelihood",
+                                    prior=PriorSpec.flat(), reps=1, iters=400,
+                                    base_seed=99)
+        assert harness._one_rep(scenario, 0) is not None
+        monkeypatch.setattr(augmented, "_DRIFT_TOL", -1.0)
+        with pytest.raises(NumericalError, match="drifted"):
+            run_augmented_chain(unit_release(), True, SamplerConfig(iters=2000, seed=1))
+        assert harness._one_rep(scenario, 0) is None
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("n", [3, 50, 1000])

@@ -14,15 +14,13 @@ from dpgibbs.distributions import (
     sample_trunc_gamma,
     sample_trunc_normal,
     sample_trunc_normal_block,
-    tgm_pdf,
-    tgm_weights,
 )
 from dpgibbs.errors import SamplingError
 from scipy import special as sc
 from scipy.special import cython_special as cs
 from scipy.special import gammainc
 from dpgibbs.validation import ks_distance
-from oracles import gamma_cdf
+from oracles import gamma_cdf, tgm_pdf, tgm_weights
 
 # closed forms for the (2, 2, 1, 1) weight check: gamma(2,x) = 1 - e^-x (1+x)
 _W1_EXPECTED = math.exp(-1.0) * (1.0 - 2.0 * math.exp(-1.0))

@@ -1,8 +1,10 @@
-"""The traced benchmark run can still rebind every name it wraps.
+"""The benchmark can still rebind every name it wraps.
 
 perfbench/layers.py wraps package functions by module attribute, for
-example ``dpgibbs.augmented.sample_trunc_gamma``; a rename that removes
-one of them breaks ``perfbench/run.py --trace 1`` but nothing else.
+example ``dpgibbs.augmented.sample_trunc_gamma``, and perfbench/run.py's
+Observer rebinds the samplers and harness steps that the untraced run
+watches.  A rename that removes one of them breaks ``perfbench/run.py``
+but nothing else.
 """
 
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import dpgibbs.augmented as augmented
 import dpgibbs.cli as cli
+import dpgibbs.harness as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +32,25 @@ def test_layers_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert (augmented.sample_trunc_gamma, cli.main, cli._write_text) == originals
+
+
+def test_observer_install_and_uninstall():
+    rebound = {cli: ("run_chain", "run_augmented_chain", "run_regression_chain"),
+               harness: ("run_chain", "run_augmented_chain", "generate_dataset", "release",
+                         "hpd_interval", "kde_mode")}
+    originals = {(m, name): getattr(m, name) for m, names in rebound.items() for name in names}
+    path = list(sys.path)
+    try:
+        sys.path.insert(0, str(PERFBENCH))
+        import run
+    finally:
+        sys.path[:] = path
+    observer = run.Observer()
+    try:
+        observer.install()
+        for (module, name), fn in originals.items():
+            assert getattr(module, name) is not fn, name
+    finally:
+        observer.patches.uninstall()
+    for (module, name), fn in originals.items():
+        assert getattr(module, name) is fn, name
