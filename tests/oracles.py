@@ -380,3 +380,61 @@ def augmented_sweep_reference(state, release_unit, prior, constrained, rng) -> i
             accepted += 1
     state.ybar, state.s_sq = ybar, s_sq
     return accepted
+
+
+def collapsed_joint_draws(size: int, n: int, eps2: float, prior, constrained: bool,
+                          rng) -> dict:
+    """Independent draws of (mu, sigma_sq, ybar, s_sq) from the collapsed sampler's joint.
+
+    Rejection from the conjugate prior times the data model
+    ybar ~ N(mu, sigma_sq/n), s_sq ~ Gamma((n-1)/2, rate (n-1)/(2 sigma_sq)),
+    keeping draws with sigma_sq < (n-1)/(2 n eps2) and, in constrained
+    mode, a feasible population and sample pair.  prior is on [0, 1].
+    """
+    cap = (n - 1.0) / (2.0 * n * eps2)
+    keep = {k: [] for k in ("mu", "sigma_sq", "ybar", "s_sq")}
+    got = 0
+    while got < size:
+        m = 4 * (size - got) + 1000
+        sigma_sq = 1.0 / rng.gamma(prior.nu0 / 2.0, 2.0 / (prior.nu0 * prior.sigma0_sq), m)
+        mu = prior.mu0 + np.sqrt(sigma_sq / prior.kappa0) * rng.standard_normal(m)
+        ybar = mu + np.sqrt(sigma_sq / n) * rng.standard_normal(m)
+        s_sq = rng.gamma((n - 1.0) / 2.0, 2.0 * sigma_sq / (n - 1.0))
+        ok = sigma_sq < cap
+        if constrained:
+            ok &= (mu >= 0.0) & (mu <= 1.0) & (sigma_sq <= mu * (1.0 - mu))
+            ok &= (ybar >= 0.0) & (ybar <= 1.0) & (s_sq <= n / (n - 1.0) * ybar * (1.0 - ybar))
+        for k, v in zip(keep, (mu, sigma_sq, ybar, s_sq)):
+            keep[k].append(v[ok])
+        got += int(ok.sum())
+    return {k: np.concatenate(v)[:size] for k, v in keep.items()}
+
+
+def successive_conditional_draws(step, start: dict, steps: int, n: int, eps1: float,
+                                 eps2: float, rng) -> dict:
+    """Geweke's successive-conditional simulator for the collapsed sampler.
+
+    From start (one joint draw of mu, sigma_sq, ybar, s_sq), it draws
+    omega_sq ~ Exp(rate eps1^2 n^2 / 2), then alternates: regenerate the
+    release, ybar_star ~ N(ybar, omega_sq) and s_sq_star ~
+    Laplace(s_sq, 1/(eps2 n)), from the state; then call
+    step(state, release_unit) for one sweep.  If the sweep leaves the
+    joint invariant, the states are draws from it (Geweke, "Getting it
+    right", JASA 99, 2004).  Returns the states of every sweep.
+    """
+    from dpgibbs.gibbs import GibbsState
+    from dpgibbs.release import UNIT, Budget, PrivateRelease
+
+    budget = Budget(eps1, eps2)
+    state = GibbsState(mu=start["mu"], sigma_sq=start["sigma_sq"], ybar=start["ybar"],
+                       s_sq=start["s_sq"],
+                       omega_sq_inv=eps1 * eps1 * n * n / (2.0 * rng.standard_exponential()))
+    z = rng.standard_normal(steps)
+    lap = rng.laplace(0.0, 1.0 / (eps2 * n), steps)
+    out = np.empty((4, steps))
+    for t in range(steps):
+        rel = PrivateRelease(ybar_star=state.ybar + z[t] / math.sqrt(state.omega_sq_inv),
+                             s_sq_star=state.s_sq + lap[t], n=n, budget=budget, bounds=UNIT)
+        state = step(state, rel)
+        out[:, t] = state.mu, state.sigma_sq, state.ybar, state.s_sq
+    return dict(zip(("mu", "sigma_sq", "ybar", "s_sq"), out))

@@ -29,7 +29,14 @@ from dpgibbs.gibbs import (
 )
 from dpgibbs.release import UNIT, Bounds, Budget, PrivateRelease
 from dpgibbs.summary import mc_se
-from oracles import flat_posterior_grid_oracle, nig_posterior_grid_oracle
+from scipy.special import ndtri
+
+from oracles import (
+    collapsed_joint_draws,
+    flat_posterior_grid_oracle,
+    nig_posterior_grid_oracle,
+    successive_conditional_draws,
+)
 
 
 def unit_release(ybar_star=0.43, s_sq_star=0.28 ** 2, n=50, eps1=0.25, eps2=0.25):
@@ -420,6 +427,44 @@ class TestRunChain:
             t = {n: cpu_seconds(n) for n in ((200, 400) if i % 2 == 0 else (400, 200))}
             ratios.append(t[400] / t[200])
         assert abs(statistics.median(ratios) - 1.0) < 0.20
+
+
+GEWEKE_PRIOR = PriorSpec.conjugate(mu0=0.2, kappa0=1.0, nu0=4.0, sigma0_sq=0.05)
+GEWEKE_CASES = [(5, ConstraintMode.UNCONSTRAINED, 31), (5, ConstraintMode.MOMENT_CONSTRAINED, 32),
+                (20, ConstraintMode.UNCONSTRAINED, 33), (20, ConstraintMode.MOMENT_CONSTRAINED, 34)]
+# Four variants, each comparing two moments of four quantities: a two-sided
+# family-wise level of 1% over the 32 comparisons.
+GEWEKE_Z = float(ndtri(1.0 - 0.01 / (2 * 8 * len(GEWEKE_CASES))))
+
+
+class TestJointDistribution:
+    """gibbs_step leaves the collapsed sampler's joint invariant.
+
+    Geweke's successive-conditional test under a proper conjugate prior
+    on [0, 1] at eps 1/1: alternating release regeneration and sweeps
+    must reproduce the first and second moments of mu, log sigma_sq,
+    ybar and s_sq under independent rejection draws from the joint.
+    """
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, mode, seed", GEWEKE_CASES)
+    def test_successive_conditional_matches_the_joint(self, n, mode, seed):
+        eps, steps = 1.0, 150_000
+        constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+        rng = np.random.default_rng(seed)
+        ref = collapsed_joint_draws(steps, n, eps, GEWEKE_PRIOR, constrained, rng)
+        start = {k: float(v[0]) for k, v in ref.items()}
+        chain = successive_conditional_draws(
+            lambda state, rel: gibbs_step(state, rel, GEWEKE_PRIOR, mode, rng),
+            start, steps, n, eps, eps, rng)
+        for draws in (ref, chain):
+            draws["sigma_sq"] = np.log(draws["sigma_sq"])
+        for name in ("mu", "sigma_sq", "ybar", "s_sq"):
+            for power in (1, 2):
+                a, b = chain[name] ** power, ref[name] ** power
+                se = math.hypot(mc_se(a), b.std() / math.sqrt(b.size))
+                z = (a.mean() - b.mean()) / se
+                assert abs(z) < GEWEKE_Z, (name, power, z)
 
 
 @pytest.fixture(scope="module")
