@@ -381,6 +381,32 @@ def sample_inverse_gaussian(mean: float, shape: float, rng: Generator) -> float:
     return mean * mean / x1
 
 
+class UniformBlock:
+    """A Generator's random() doubles, drawn a block at a time and read in order.
+
+    Stands in for the Generator in the scalar kernels, at a fraction of the
+    cost per call: standard_normal() is ndtri(u) and exponential(scale) is
+    -scale log1p(-u), each skipping a zero u.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: Generator, size: int = 4096):
+        def stream():
+            while True:
+                yield from rng.random(size).tolist()
+
+        self.random = stream().__next__
+
+    def standard_normal(self) -> float:
+        u = self.random()
+        return cs.ndtri(u) if u > 0.0 else self.standard_normal()
+
+    def exponential(self, scale: float = 1.0) -> float:
+        u = self.random()
+        return -scale * math.log1p(-u) if u > 0.0 else self.exponential(scale)
+
+
 def sample_laplace(loc: float, scale: float, rng: Generator) -> float:
     """Inverse-CDF draw from Lap(loc, scale)."""
     if scale <= 0 or not math.isfinite(scale):

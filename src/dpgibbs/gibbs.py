@@ -1,31 +1,33 @@
 """Exact Gibbs sampler for (mu, sigma_sq) given a noisy mean/variance release.
 
-The sampler operates entirely on the [0, 1] scale.  One sweep updates,
-in this fixed order: mu, sigma_sq, ybar, s_sq, omega_sq_inv.  The full
-conditionals are
+The sampler works on the [0, 1] scale.  Its target is the joint
+prior(mu, sigma_sq) 1{sigma_sq < (n-1)/(2 n eps2)} N(ybar | mu, sigma_sq/n)
+Gamma(s_sq | (n-1)/2, (n-1)/(2 sigma_sq)) times the noise terms
+N(ybar_star | ybar, omega_sq) Exp(omega_sq | eps1^2 n^2/2)
+Laplace(s_sq_star | s_sq, 1/(n eps2)); the cap keeps the s_sq conditional
+a valid truncated gamma mixture.  Constrained mode multiplies in
+1{pair and stats feasible}, so there the prior on (mu, sigma_sq) is
+tilted by P(stats feasible | mu, sigma_sq).  One sweep, in this order:
 
-  mu       precision-weighted normal (the flat prior is the conjugate
-           prior's kappa0 = 0 limit), truncated to the feasible mu-window
-           in constrained mode;
-  sigma_sq inverse gamma, always truncated below (n-1)/(2 n eps2) so the
-           s_sq conditional stays a valid truncated gamma mixture, and
-           additionally below mu (1 - mu) in constrained mode;
-  ybar     normal combining the released value (through its current
-           noise-scale omega_sq) with the model mean, truncated to the
-           feasible ybar-window in constrained mode;
-  s_sq     truncated gamma mixture TGM((n-1)/2, (n-1)/(2 sigma_sq),
-           n eps2, s_sq_star), capped at n/(n-1) ybar (1 - ybar) in
-           constrained mode;
+  mu, ybar  one block: mu with ybar integrated out, the prior times
+            N(ybar_star | mu, sigma_sq/n + omega_sq); in constrained mode an
+            independence Metropolis step from that normal on the mu-window,
+            accepted by the ratio of P(ybar in its window | mu).  Then
+            ybar | mu, normal, truncated to its window if constrained;
+  sigma_sq  inverse gamma below the cap, and below mu (1 - mu) if constrained;
+  ridge     (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~ N(0, 2^2), by
+            Metropolis: the move along the scale pair that one-step
+            conditionals make only slowly (Yu & Meng, JCGS 20, 2011);
+  s_sq      TGM((n-1)/2, (n-1)/(2 sigma_sq), n eps2, s_sq_star), capped at
+            n/(n-1) ybar (1 - ybar) if constrained;
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
 
-Per-sweep cost does not depend on n.
-
-This module owns the mu and sigma_sq conditionals (draw_mu,
-draw_sigma_sq), which the latent-value sampler in augmented.py shares;
-only the collapsed sampler adds the TGM precision floor and cap on
-sigma_sq.  The feasibility windows come from feasible.py and the
-variate kernels from distributions.py.  SamplerConfig.record is the one
-chain loop: every sampler, regression's too, hands it a sweep.
+Per-sweep cost does not depend on n; run_chain feeds every draw from one
+UniformBlock per chain.  This module owns the mu and sigma_sq conditionals
+(draw_mu, draw_sigma_sq), which the latent-value sampler in augmented.py
+shares; only the collapsed sampler adds the TGM floor and cap on sigma_sq.
+Feasibility windows come from feasible.py, variate kernels from
+distributions.py.  SamplerConfig.record is the one chain loop.
 """
 
 from __future__ import annotations
@@ -37,19 +39,23 @@ from enum import Enum
 
 import numpy as np
 from numpy.random import Generator
+from scipy.special import cython_special as cs
 
 from .distributions import (
+    UniformBlock,
     sample_inverse_gaussian,
     sample_tgm,
     sample_trunc_gamma,
     sample_trunc_normal,
 )
 from .errors import ConfigurationError
-from .feasible import mean_window, snap_mean
+from .feasible import mean_window, pair_feasible, snap_mean, stats_feasible
 from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
+_RIDGE_SD = 2.0  # sd h of log c in the ridge move
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class ConstraintMode(Enum):
@@ -118,7 +124,7 @@ class PriorSpec:
         return replace(self, mu0=mu0, sigma0_sq=sigma0_sq)
 
 
-@dataclass
+@dataclass(slots=True)
 class GibbsState:
     mu: float
     sigma_sq: float
@@ -299,33 +305,80 @@ def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float,
     return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), s_sq, n / (n - 1.0))
 
 
+def _log_mass(a: float, b: float) -> float:
+    """log(Phi(b) - Phi(a)) for a <= b, computed on the side of 0 that keeps precision."""
+    if a > 0.0:
+        a, b = -b, -a
+    if b > -30.0:  # erfc(-b / sqrt 2) is still a normal double
+        mass = math.erfc(-b * _SQRT_HALF) - math.erfc(-a * _SQRT_HALF)
+        return math.log(0.5 * mass) if mass > 0.0 else -math.inf
+    la, lb = cs.log_ndtr(a), cs.log_ndtr(b)
+    return lb + math.log1p(-math.exp(la - lb)) if la < lb else -math.inf
+
+
+def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
+                    mode: ConstraintMode) -> tuple:
+    """What gibbs_step reads of the release, prior and mode; run_chain computes it once."""
+    n, eps1n = release_unit.n, release_unit.budget.eps1 * release_unit.n
+    return (n, release_unit.budget.eps2 * n, release_unit.ybar_star, release_unit.s_sq_star,
+            mode is ConstraintMode.MOMENT_CONSTRAINED, eps1n, (n - 1.0) / 2.0, prior.kappa0,
+            prior.mu0, prior.nu0 * prior.sigma0_sq, prior.nu0 / 2.0 + 2.0)
+
+
 def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
-               mode: ConstraintMode, rng: Generator) -> GibbsState:
-    """One full sweep in the order mu, sigma_sq, ybar, s_sq, omega_sq_inv."""
-    n = release_unit.n
-    eps1 = release_unit.budget.eps1
-    lam = release_unit.budget.eps2 * n
-    ybar_star = release_unit.ybar_star
-    constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+               mode: ConstraintMode, rng, consts: tuple | None = None) -> GibbsState:
+    """One sweep: (mu, ybar) as a block, sigma_sq, the ridge move, s_sq, omega_sq_inv."""
+    n, lam, ybar_star, s_sq_star, constrained, eps1n, alpha, kappa0, mu0, nu0_sigma0_sq, \
+        power = consts or sweep_constants(release_unit, prior, mode)
+    mu, sigma_sq, s_sq, omega_sq_inv = state.mu, state.sigma_sq, state.s_sq, state.omega_sq_inv
 
-    mu = draw_mu(state.ybar, state.sigma_sq, n, prior, constrained, rng)
-    sigma_sq = draw_sigma_sq(mu, state.ybar, state.s_sq, n, prior, constrained, lam, rng)
-    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv, ybar_star, n,
-                     constrained, rng)
+    # --- mu with ybar integrated out: its prior times N(ybar_star | mu, sigma_sq/n + omega_sq)
+    n_prec, prec_y = n / sigma_sq, omega_sq_inv + n / sigma_sq  # prec_y: of ybar | mu
+    prec = kappa0 / sigma_sq + omega_sq_inv * n_prec / prec_y
+    mean = (kappa0 * mu0 / sigma_sq + ybar_star * omega_sq_inv * n_prec / prec_y) / prec
+    scaled = (n - 1.0) / n * s_sq
+    if not constrained:
+        mu = mean + rng.standard_normal() / math.sqrt(prec)
+    elif sigma_sq >= 0.25 or scaled >= 0.25:
+        mu = draw_mu(state.ybar, sigma_sq, n, prior, True, rng)
+    else:
+        # Independence Metropolis; the ratio is P(ybar in its window | mu) at prop over mu.
+        lo, hi = mean_window(sigma_sq)
+        prop = snap_mean(sample_trunc_normal(mean, math.sqrt(1.0 / prec), lo, hi, rng),
+                         sigma_sq, 1.0)
+        sd_y = math.sqrt(1.0 / prec_y)
+        lo, hi = ((w - ybar_star * omega_sq_inv / prec_y) / sd_y for w in mean_window(scaled))
+        slope = n_prec / prec_y / sd_y
+        log_r = (_log_mass(lo - slope * prop, hi - slope * prop)
+                 - _log_mass(lo - slope * mu, hi - slope * mu))
+        if log_r >= 0.0 or rng.random() < math.exp(log_r):
+            mu = prop
+    ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, ybar_star, n, constrained, rng)
 
-    # --- s_sq ---
+    sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
+
+    # --- ridge move (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~ N(0, h^2)
+    log_c = _RIDGE_SD * rng.standard_normal()
+    c = math.exp(log_c)
+    sig_new, s_new = c * sigma_sq, c * s_sq
+    if (n - 1.0) / (2.0 * sig_new) > lam and (not constrained or (
+            pair_feasible(mu, sig_new) and stats_feasible(ybar, s_new, n))):
+        rate = (nu0_sigma0_sq + kappa0 * (mu - mu0) ** 2 + n * (ybar - mu) ** 2) / (2.0 * sigma_sq)
+        # prior and N(ybar | mu, sigma_sq/n): c^-power e^(-rate (1/c - 1)); gamma: c^-1;
+        # Laplace: e^(-lam (|c s_sq - s*| - |s_sq - s*|)); Jacobian: c^2
+        log_r = ((2.0 - 1.0 - power) * log_c - rate * (1.0 / c - 1.0)
+                 - lam * (abs(s_new - s_sq_star) - abs(s_sq - s_sq_star)))
+        if log_r >= 0.0 or rng.random() < math.exp(log_r):
+            sigma_sq, s_sq = sig_new, s_new
+
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
-    s_sq = sample_tgm((n - 1.0) / 2.0, (n - 1.0) / (2.0 * sigma_sq), lam,
-                      release_unit.s_sq_star, upper, rng)
+    s_sq = sample_tgm(alpha, (n - 1.0) / (2.0 * sigma_sq), lam, s_sq_star, upper, rng)
 
-    # --- omega_sq_inv ---
     diff = abs(ybar_star - ybar)
     if diff < _ABS_DIFF_FLOOR:
         diff = _ABS_DIFF_FLOOR
-    omega_sq_inv = sample_inverse_gaussian(eps1 * n / diff, eps1 * eps1 * n * n, rng)
-
-    return GibbsState(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
-                      omega_sq_inv=omega_sq_inv)
+    omega_sq_inv = sample_inverse_gaussian(eps1n / diff, eps1n * eps1n, rng)
+    return GibbsState(mu, sigma_sq, ybar, s_sq, omega_sq_inv)
 
 
 def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
@@ -340,12 +393,13 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
     check_config(release.n, release.budget.eps2, prior, True, force_sigma_constraint)
     release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)
 
-    rng = np.random.default_rng(config.seed)
+    rng = UniformBlock(np.random.default_rng(config.seed))
     state = init_state(release_unit)
+    consts = sweep_constants(release_unit, prior_unit, mode)
 
     def sweep(t):
         nonlocal state
-        state = gibbs_step(state, release_unit, prior_unit, mode, rng)
+        state = gibbs_step(state, release_unit, prior_unit, mode, rng, consts)
         return state.mu, state.sigma_sq, state.ybar, state.s_sq, state.omega_sq_inv
 
     mu, sigma_sq, ybar, s_sq, omega_sq_inv = config.record(sweep, 5)

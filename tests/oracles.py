@@ -10,10 +10,13 @@ tests use them: the TGM weights and density (``tgm_weights``,
 ``dpgibbs.distributions`` with the TGM sampler) and the noisy-statistic
 likelihoods (``likelihood_s2_star``, ``laplace_gauss_marginal``).
 
-The exception is ``augmented_sweep_reference``: the latent-value sweep
-written one latent at a time, with its O(1) moment update and acceptance
-probability as separate helpers, against which the package's
-block-and-scan sweep is checked.
+The exceptions are the two reference sweeps.  ``augmented_sweep_reference``
+is the latent-value sweep written one latent at a time, with its O(1)
+moment update and acceptance probability as separate helpers, against
+which the package's block-and-scan sweep is checked.
+``gibbs_step_reference`` is the collapsed sweep as one conditional draw
+per coordinate, against which the blocked sweep with its ridge move is
+checked.
 """
 
 from __future__ import annotations
@@ -31,10 +34,19 @@ from dpgibbs.distributions import (
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
     _tgm_log_weights,
+    sample_inverse_gaussian,
+    sample_tgm,
     sample_trunc_normal,
 )
 from dpgibbs.errors import SamplingError
-from dpgibbs.gibbs import draw_mu, draw_sigma_sq
+from dpgibbs.gibbs import (
+    _ABS_DIFF_FLOOR,
+    ConstraintMode,
+    GibbsState,
+    draw_mu,
+    draw_sigma_sq,
+    draw_ybar,
+)
 from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
 
 
@@ -438,3 +450,32 @@ def successive_conditional_draws(step, start: dict, steps: int, n: int, eps1: fl
         state = step(state, rel)
         out[:, t] = state.mu, state.sigma_sq, state.ybar, state.s_sq
     return dict(zip(("mu", "sigma_sq", "ybar", "s_sq"), out))
+
+
+def gibbs_step_reference(state: GibbsState, release_unit, prior, mode: ConstraintMode,
+                         rng) -> GibbsState:
+    """One full sweep in the order mu, sigma_sq, ybar, s_sq, omega_sq_inv."""
+    n = release_unit.n
+    eps1 = release_unit.budget.eps1
+    lam = release_unit.budget.eps2 * n
+    ybar_star = release_unit.ybar_star
+    constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+
+    mu = draw_mu(state.ybar, state.sigma_sq, n, prior, constrained, rng)
+    sigma_sq = draw_sigma_sq(mu, state.ybar, state.s_sq, n, prior, constrained, lam, rng)
+    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv, ybar_star, n,
+                     constrained, rng)
+
+    # --- s_sq ---
+    upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
+    s_sq = sample_tgm((n - 1.0) / 2.0, (n - 1.0) / (2.0 * sigma_sq), lam,
+                      release_unit.s_sq_star, upper, rng)
+
+    # --- omega_sq_inv ---
+    diff = abs(ybar_star - ybar)
+    if diff < _ABS_DIFF_FLOOR:
+        diff = _ABS_DIFF_FLOOR
+    omega_sq_inv = sample_inverse_gaussian(eps1 * n / diff, eps1 * eps1 * n * n, rng)
+
+    return GibbsState(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
+                      omega_sq_inv=omega_sq_inv)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgibbs.distributions import (
+    UniformBlock,
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
     sample_inverse_gaussian,
@@ -318,6 +319,42 @@ class TestSampleTruncNormalBlock:
         scalar = _outcome(lambda: sample_trunc_normal(0.0, sd, lo, hi,
                                                       np.random.default_rng(0)))
         assert isinstance(block, tuple) and block == scalar
+
+
+class TestUniformBlock:
+    """The collapsed sampler's per-chain source of uniforms."""
+
+    def test_yields_the_generators_doubles_in_order(self):
+        block = UniformBlock(np.random.default_rng(8), size=64)
+        got = [block.random() for _ in range(300)]  # crosses four block boundaries
+        assert got == np.random.default_rng(8).random(300).tolist()
+
+    def test_normals_and_exponentials_are_transforms_of_the_uniforms(self):
+        u = np.random.default_rng(9).random(2)
+        block = UniformBlock(np.random.default_rng(9), size=5)
+        assert block.standard_normal() == cs.ndtri(u[0])
+        assert block.exponential(2.0) == -2.0 * math.log1p(-u[1])
+
+    def test_a_zero_uniform_is_skipped(self):
+        block = UniformBlock(np.random.default_rng(0))
+        block.random = iter([0.0, 0.0, 0.25]).__next__
+        assert block.standard_normal() == cs.ndtri(0.25)
+        block.random = iter([0.0, 0.25]).__next__
+        assert block.exponential() == -math.log1p(-0.25)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_feeds_the_scalar_kernels(self, seed):
+        block = UniformBlock(np.random.default_rng(seed), size=7)
+        for _ in range(10):
+            assert 0.0 < sample_trunc_gamma(3.0, 2.0, 0.5, 4.0, block) <= 4.0
+            x = sample_tgm(2.0, 3.0, 1.0, 0.4, math.inf, block)
+            assert math.isfinite(x) and x > 0.0
+            assert 0.3 <= sample_trunc_normal(0.0, 1.0, 0.3, 0.9, block) <= 0.9
+            # the tail samplers' exponential proposals
+            assert 7.0 <= sample_trunc_normal(0.0, 1.0, 7.0, 8.0, block) <= 8.0
+            assert 60.0 < sample_trunc_gamma(2.0, 1.0, 60.0, math.inf, block)
+            assert sample_inverse_gaussian(1.5, 2.0, block) > 0.0
 
 
 class TestSampleInverseGaussian:

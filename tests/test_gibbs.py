@@ -34,6 +34,7 @@ from scipy.special import ndtri
 from oracles import (
     collapsed_joint_draws,
     flat_posterior_grid_oracle,
+    gibbs_step_reference,
     nig_posterior_grid_oracle,
     successive_conditional_draws,
 )
@@ -130,32 +131,42 @@ class TestGibbsStep:
         assert out.mu == 0.5
 
     def test_flat_unconstrained_mu_conditional(self):
-        # holding the rest of the state fixed, mu must be N(ybar, sigma_sq/n)
-        rel = unit_release(n=40)
-        state = GibbsState(mu=0.5, sigma_sq=0.04, ybar=0.61, s_sq=0.03,
-                           omega_sq_inv=50.0)
+        # draw_mu, the latent-value sampler's mu | ybar, must be N(ybar, sigma_sq/n)
         rng = np.random.default_rng(1)
-        draws = np.array([
-            gibbs_step(state, rel, PriorSpec.flat(), ConstraintMode.UNCONSTRAINED, rng).mu
-            for _ in range(4000)
-        ])
+        draws = np.array([draw_mu(0.61, 0.04, 40, PriorSpec.flat(), False, rng)
+                          for _ in range(4000)])
         sd = math.sqrt(0.04 / 40)
         assert abs(draws.mean() - 0.61) < 4 * sd / math.sqrt(draws.size)
         assert abs(draws.std() - sd) < 0.05 * sd
 
     def test_nig_mu_conditional_center(self):
-        rel = unit_release(n=40)
         prior = PriorSpec.conjugate(mu0=0.2, kappa0=10.0, nu0=1.0, sigma0_sq=0.01)
-        state = GibbsState(mu=0.5, sigma_sq=0.04, ybar=0.6, s_sq=0.03,
-                           omega_sq_inv=50.0)
         rng = np.random.default_rng(2)
+        draws = np.array([draw_mu(0.6, 0.04, 40, prior, False, rng) for _ in range(4000)])
+        expected = (40 * 0.6 + 10 * 0.2) / 50
+        sd = math.sqrt(0.04 / 50)
+        assert abs(draws.mean() - expected) < 4 * sd / math.sqrt(draws.size)
+
+    @pytest.mark.parametrize("prior", [PriorSpec.flat(),
+                                       PriorSpec.conjugate(mu0=0.2, kappa0=10.0, nu0=1.0,
+                                                           sigma0_sq=0.01)])
+    def test_blocked_mu_has_the_closed_form(self, prior):
+        # With ybar integrated out and (sigma_sq, s_sq, omega_sq) held fixed,
+        # gibbs_step's mu is the prior N(mu0, sigma_sq/kappa0) times
+        # N(ybar_star | mu, sigma_sq/n + omega_sq), whatever the state's ybar.
+        rel = unit_release(n=40, ybar_star=0.43)
+        state = GibbsState(mu=0.5, sigma_sq=0.04, ybar=0.61, s_sq=0.03, omega_sq_inv=50.0)
+        rng = np.random.default_rng(3)
         draws = np.array([
             gibbs_step(state, rel, prior, ConstraintMode.UNCONSTRAINED, rng).mu
             for _ in range(4000)
         ])
-        expected = (40 * 0.6 + 10 * 0.2) / 50
-        sd = math.sqrt(0.04 / 50)
+        v = 0.04 / 40 + 1.0 / 50.0
+        prec = prior.kappa0 / 0.04 + 1.0 / v
+        expected = (prior.kappa0 * prior.mu0 / 0.04 + 0.43 / v) / prec
+        sd = math.sqrt(1.0 / prec)
         assert abs(draws.mean() - expected) < 4 * sd / math.sqrt(draws.size)
+        assert abs(draws.std() - sd) < 0.05 * sd
 
     def test_footnote_region_always_enforced(self):
         rel = unit_release(n=20, eps2=1.5)
@@ -181,6 +192,10 @@ class TestGibbsStep:
 EDGE_PRIORS = (PriorSpec.flat(),
                PriorSpec.conjugate(mu0=0.3, kappa0=2.0, nu0=3.0, sigma0_sq=0.02))
 EDGE_N = st.one_of(st.integers(3, 60), st.integers(61, 10 ** 6))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
 
 
 class TestConditionalEdges:
@@ -246,14 +261,62 @@ class TestConditionalEdges:
             assert pair_feasible(mu_new, sigma_sq)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
+
+    @given(EDGE_N, st.floats(0.01, 1.5), st.sampled_from(["pair", "cap"]), st.integers(0, 4),
+           st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.sampled_from(["free", "cap", "half"]),
+           st.floats(1e-6, 1.0), _log_uniform(1e-8, 1e14), st.floats(-1.0, 2.0),
+           st.floats(-0.5, 2.0), st.sampled_from(EDGE_PRIORS), st.sampled_from(ConstraintMode),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_sweeps_from_edge_states(self, n, eps2_share, sigma_edge, ulps, mu, ybar, s_edge,
+                                     s_share, omega_sq_inv, ybar_star, s_sq_star, prior, mode,
+                                     seed):
+        # sigma_sq a few ulps below mu (1 - mu) or below the TGM cap (eps2 up to
+        # 1.5 times the 2(n-1)/n limit, as force_sigma_constraint allows); s_sq
+        # at its cap, or at ybar = 1/2 with (n-1)/n s_sq >= 1/4; omega_sq from
+        # 1e-14 to 1e8.  Every sweep keeps the state finite, below the TGM cap
+        # and, in constrained mode, feasible.
+        constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
+        lam = eps2_share * 2.0 * (n - 1.0)
+        sigma_sq = math.nextafter((n - 1.0) / (2.0 * lam), 0.0)
+        while (n - 1.0) / (2.0 * sigma_sq) <= lam:
+            sigma_sq = math.nextafter(sigma_sq, 0.0)
+        if sigma_edge == "pair" or constrained:
+            sigma_sq = min(sigma_sq, mu * (1.0 - mu))
+        for _ in range(ulps):
+            sigma_sq = math.nextafter(sigma_sq, 0.0)
+        if s_edge == "half":
+            ybar = 0.5
+            s_sq = n / (n - 1.0) * 0.25
+            while (n - 1.0) / n * s_sq < 0.25:
+                s_sq = math.nextafter(s_sq, 1.0)
+        else:
+            s_sq = n / (n - 1.0) * ybar * (1.0 - ybar)
+            if s_edge == "free":
+                s_sq *= s_share
+        state = GibbsState(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
+                           omega_sq_inv=omega_sq_inv)
+        rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
+                             budget=Budget(1.0, lam / n), bounds=UNIT)
+        rng = gibbs.UniformBlock(np.random.default_rng(seed))
+        for _ in range(3):
+            try:
+                state = gibbs_step(state, rel, prior, mode, rng)
+            except DpGibbsError:
+                return
+            assert all(map(math.isfinite, (state.mu, state.sigma_sq, state.ybar, state.s_sq,
+                                           state.omega_sq_inv)))
+            assert (n - 1.0) / (2.0 * state.sigma_sq) > lam
+            if constrained:
+                assert pair_feasible(state.mu, state.sigma_sq)
+                assert stats_feasible(state.ybar, state.s_sq, n)
 
 
 class TestExtremeRegimes:
     """Whole chains at n from 3 to 10**6, eps from 1e-4 up to the
-    2(n-1)/n limit and releases far outside [0, 1]: every draw is finite
-    and every constrained draw feasible, or the sampler raises a
+    2(n-1)/n limit (or beyond it under force_sigma_constraint) and releases
+    far outside [0, 1]: every draw is finite, every collapsed draw below the
+    TGM cap and every constrained draw feasible, or the sampler raises a
     DpGibbsError."""
 
     @given(_log_uniform(3.0, 1e6), _log_uniform(1e-4, 10.0), st.floats(0.0, 1.0),
@@ -270,20 +333,40 @@ class TestExtremeRegimes:
             constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
             self._check(lambda: run_chain(rel, prior, mode,
                                           SamplerConfig(iters=40, seed=seed, burn_in=0)),
-                        constrained, n)
+                        constrained, n, eps2 * n)
             if n <= 300:
                 self._check(lambda: run_augmented_chain(
                     rel, constrained, SamplerConfig(iters=20, seed=seed, burn_in=0),
                     prior=prior), constrained, n)
 
+    @given(_log_uniform(3.0, 1e6), _log_uniform(1e-4, 10.0), st.floats(1.0, 1.5),
+           st.floats(-3.0, 4.0), st.floats(-1.0, 2.0), st.sampled_from(EDGE_PRIORS),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_forced_sigma_constraint_chains(self, n_real, eps1, eps2_share, ybar_star,
+                                            s_sq_star, prior, seed):
+        # eps2 >= 2(n-1)/n, where only force_sigma_constraint lets the chain run
+        n = min(max(round(n_real), 3), 10 ** 6)
+        eps2 = eps2_share * 2.0 * (n - 1.0) / n
+        rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
+                             budget=Budget(eps1, eps2), bounds=UNIT)
+        for mode in ConstraintMode:
+            self._check(lambda: run_chain(rel, prior, mode,
+                                          SamplerConfig(iters=40, seed=seed, burn_in=0),
+                                          force_sigma_constraint=True),
+                        mode is ConstraintMode.MOMENT_CONSTRAINED, n, eps2 * n)
+
     @staticmethod
-    def _check(run, constrained, n):
+    def _check(run, constrained, n, lam=None):
+        """lam: the collapsed sampler's TGM rate eps2 n, which its draws keep below."""
         try:
             draws = run()
         except DpGibbsError:
             return
         for col in (draws.mu, draws.sigma_sq, draws.ybar, draws.s_sq):
             assert np.isfinite(col).all()
+        if lam is not None:
+            assert ((n - 1.0) / (2.0 * draws.sigma_sq) > lam).all()
         if constrained:
             assert all(pair_feasible(m, v) for m, v in zip(draws.mu, draws.sigma_sq))
             assert all(stats_feasible(y, s, n) for y, s in zip(draws.ybar, draws.s_sq))
@@ -405,6 +488,32 @@ class TestRunChain:
             *unit)
         assert abs(draws.mu.mean() - mu_oracle) < 3 * mc_se(draws.mu)
         assert abs(draws.sigma_sq.mean() - sig_oracle) < 3 * mc_se(draws.sigma_sq)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case, mode, iters, seeds", [
+        ("lead", ConstraintMode.UNCONSTRAINED, 120_000, (41, 42)),
+        ("lead", ConstraintMode.MOMENT_CONSTRAINED, 120_000, (43, 44)),
+        ("n316", ConstraintMode.UNCONSTRAINED, 60_000, (45, 46)),
+        ("n316", ConstraintMode.MOMENT_CONSTRAINED, 60_000, (47, 48)),
+    ])
+    def test_matches_the_reference_sweep(self, monkeypatch, case, mode, iters, seeds):
+        # The blocked sweep with its ridge move against one conditional draw per
+        # coordinate: the blood-lead release under its conjugate prior, and a
+        # flat-prior release at n = 316, eps 0.1.
+        if case == "lead":
+            rel = PrivateRelease(ybar_star=34.30, s_sq_star=47.16 ** 2, n=43,
+                                 budget=Budget(0.25, 0.25), bounds=Bounds(0.0, 100.0))
+            prior = PriorSpec.conjugate(mu0=12.5, kappa0=1.0, nu0=1.0, sigma0_sq=3.8 ** 2)
+        else:
+            rel, prior = unit_release(n=316, eps1=0.1, eps2=0.1), PriorSpec.flat()
+        d1 = run_chain(rel, prior, mode, SamplerConfig(iters=iters, seed=seeds[0]))
+        monkeypatch.setattr(gibbs, "gibbs_step",
+                            lambda state, rel, prior, mode, rng, consts=None:
+                            gibbs_step_reference(state, rel, prior, mode, rng))
+        d2 = run_chain(rel, prior, mode, SamplerConfig(iters=iters, seed=seeds[1]))
+        for a, b in ((d1.mu, d2.mu), (d1.sigma_sq, d2.sigma_sq)):
+            se = math.hypot(mc_se(a), mc_se(b))
+            assert abs(a.mean() - b.mean()) < 3 * se
 
     @pytest.mark.slow
     def test_per_iteration_cost_independent_of_n(self):
