@@ -42,6 +42,7 @@ _TAIL_Z = 6.0  # standardized distance beyond which normal tails use rejection
 _MIN_WINDOW_MASS = 1e-12
 _GAMMA_TAIL_BUDGET = 1000  # proposals per truncated gamma tail draw
 _NORMAL_TAIL_BUDGET = 10000  # proposals per truncated normal tail draw
+_UNIFORM_BLOCK = 4096  # doubles a UniformBlock draws at a time
 
 
 def _log_reg_inc_gamma_lower(a: float, x: float) -> float:
@@ -391,10 +392,10 @@ class UniformBlock:
 
     __slots__ = ("random",)
 
-    def __init__(self, rng: Generator, size: int = 4096):
+    def __init__(self, rng: Generator):
         def stream():
             while True:
-                yield from rng.random(size).tolist()
+                yield from rng.random(_UNIFORM_BLOCK).tolist()
 
         self.random = stream().__next__
 

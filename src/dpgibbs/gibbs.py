@@ -344,8 +344,7 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     else:
         # Independence Metropolis; the ratio is P(ybar in its window | mu) at prop over mu.
         lo, hi = mean_window(sigma_sq)
-        prop = snap_mean(sample_trunc_normal(mean, math.sqrt(1.0 / prec), lo, hi, rng),
-                         sigma_sq, 1.0)
+        prop = snap_mean(sample_trunc_normal(mean, prec ** -0.5, lo, hi, rng), sigma_sq, 1.0)
         sd_y = math.sqrt(1.0 / prec_y)
         lo, hi = ((w - ybar_star * omega_sq_inv / prec_y) / sd_y for w in mean_window(scaled))
         slope = n_prec / prec_y / sd_y

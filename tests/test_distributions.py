@@ -325,13 +325,13 @@ class TestUniformBlock:
     """The collapsed sampler's per-chain source of uniforms."""
 
     def test_yields_the_generators_doubles_in_order(self):
-        block = UniformBlock(np.random.default_rng(8), size=64)
-        got = [block.random() for _ in range(300)]  # crosses four block boundaries
-        assert got == np.random.default_rng(8).random(300).tolist()
+        block = UniformBlock(np.random.default_rng(8))
+        got = [block.random() for _ in range(10_000)]  # crosses two block boundaries
+        assert got == np.random.default_rng(8).random(10_000).tolist()
 
     def test_normals_and_exponentials_are_transforms_of_the_uniforms(self):
         u = np.random.default_rng(9).random(2)
-        block = UniformBlock(np.random.default_rng(9), size=5)
+        block = UniformBlock(np.random.default_rng(9))
         assert block.standard_normal() == cs.ndtri(u[0])
         assert block.exponential(2.0) == -2.0 * math.log1p(-u[1])
 
@@ -345,7 +345,7 @@ class TestUniformBlock:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_feeds_the_scalar_kernels(self, seed):
-        block = UniformBlock(np.random.default_rng(seed), size=7)
+        block = UniformBlock(np.random.default_rng(seed))
         for _ in range(10):
             assert 0.0 < sample_trunc_gamma(3.0, 2.0, 0.5, 4.0, block) <= 4.0
             x = sample_tgm(2.0, 3.0, 1.0, 0.4, math.inf, block)
