@@ -15,9 +15,8 @@ tilted by P(stats feasible | mu, sigma_sq).  One sweep, in this order:
             accepted by the ratio of P(ybar in its window | mu).  Then
             ybar | mu, normal, truncated to its window if constrained;
   sigma_sq  inverse gamma below the cap, and below mu (1 - mu) if constrained;
-  ridge     (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~ N(0, 2^2), by
-            Metropolis: the move along the scale pair that one-step
-            conditionals make only slowly (Yu & Meng, JCGS 20, 2011);
+  ridge     Metropolis move (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~
+            N(0, 2^2), along the scale pair (Yu & Meng, JCGS 20, 2011);
   s_sq      TGM((n-1)/2, (n-1)/(2 sigma_sq), n eps2, s_sq_star), capped at
             n/(n-1) ybar (1 - ybar) if constrained;
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
@@ -54,7 +53,7 @@ from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
-_RIDGE_SD = 2.0  # sd h of log c in the ridge move
+_RIDGE_SD = 2.0  # sd h of log c in the ridge move; 1.5 to 3 mix alike on the lead release
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -318,7 +317,7 @@ def _log_mass(a: float, b: float) -> float:
 
 def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
                     mode: ConstraintMode) -> tuple:
-    """What gibbs_step reads of the release, prior and mode; run_chain computes it once."""
+    """What gibbs_step reads of the release, prior and mode."""
     n, eps1n = release_unit.n, release_unit.budget.eps1 * release_unit.n
     return (n, release_unit.budget.eps2 * n, release_unit.ybar_star, release_unit.s_sq_star,
             mode is ConstraintMode.MOMENT_CONSTRAINED, eps1n, (n - 1.0) / 2.0, prior.kappa0,
@@ -327,7 +326,10 @@ def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
 
 def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
                mode: ConstraintMode, rng, consts: tuple | None = None) -> GibbsState:
-    """One sweep: (mu, ybar) as a block, sigma_sq, the ridge move, s_sq, omega_sq_inv."""
+    """One sweep: (mu, ybar) as a block, sigma_sq, the ridge move, s_sq, omega_sq_inv.
+
+    consts is sweep_constants(release_unit, prior, mode), which run_chain computes once.
+    """
     n, lam, ybar_star, s_sq_star, constrained, eps1n, alpha, kappa0, mu0, nu0_sigma0_sq, \
         power = consts or sweep_constants(release_unit, prior, mode)
     mu, sigma_sq, s_sq, omega_sq_inv = state.mu, state.sigma_sq, state.s_sq, state.omega_sq_inv
@@ -373,9 +375,7 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
     s_sq = sample_tgm(alpha, (n - 1.0) / (2.0 * sigma_sq), lam, s_sq_star, upper, rng)
 
-    diff = abs(ybar_star - ybar)
-    if diff < _ABS_DIFF_FLOOR:
-        diff = _ABS_DIFF_FLOOR
+    diff = max(abs(ybar_star - ybar), _ABS_DIFF_FLOOR)
     omega_sq_inv = sample_inverse_gaussian(eps1n / diff, eps1n * eps1n, rng)
     return GibbsState(mu, sigma_sq, ybar, s_sq, omega_sq_inv)
 

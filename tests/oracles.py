@@ -16,7 +16,10 @@ moment update and acceptance probability as separate helpers, against
 which the package's block-and-scan sweep is checked.
 ``gibbs_step_reference`` is the collapsed sweep as one conditional draw
 per coordinate, against which the blocked sweep with its ridge move is
-checked.
+checked.  ``collapsed_joint_draws`` (rejection from the prior and data
+model) and ``successive_conditional_draws`` (the sweep under test,
+alternated with release regeneration) are the two sides of Geweke's
+joint-distribution test.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dpgibbs.gibbs import (
     draw_sigma_sq,
     draw_ybar,
 )
+from dpgibbs.release import UNIT, Budget, PrivateRelease
 from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
 
 
@@ -434,9 +438,6 @@ def successive_conditional_draws(step, start: dict, steps: int, n: int, eps1: fl
     joint invariant, the states are draws from it (Geweke, "Getting it
     right", JASA 99, 2004).  Returns the states of every sweep.
     """
-    from dpgibbs.gibbs import GibbsState
-    from dpgibbs.release import UNIT, Budget, PrivateRelease
-
     budget = Budget(eps1, eps2)
     state = GibbsState(mu=start["mu"], sigma_sq=start["sigma_sq"], ybar=start["ybar"],
                        s_sq=start["s_sq"],

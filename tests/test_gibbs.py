@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import dpgibbs.gibbs as gibbs
 from dpgibbs.augmented import run_augmented_chain
@@ -29,8 +30,6 @@ from dpgibbs.gibbs import (
 )
 from dpgibbs.release import UNIT, Bounds, Budget, PrivateRelease
 from dpgibbs.summary import mc_se
-from scipy.special import ndtri
-
 from oracles import (
     collapsed_joint_draws,
     flat_posterior_grid_oracle,
@@ -260,8 +259,6 @@ class TestConditionalEdges:
         if sigma_sq <= 0.25:
             assert pair_feasible(mu_new, sigma_sq)
 
-
-
     @given(EDGE_N, st.floats(0.01, 1.5), st.sampled_from(["pair", "cap"]), st.integers(0, 4),
            st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.sampled_from(["free", "cap", "half"]),
            st.floats(1e-6, 1.0), _log_uniform(1e-8, 1e14), st.floats(-1.0, 2.0),
@@ -277,7 +274,8 @@ class TestConditionalEdges:
         # 1e-14 to 1e8.  Every sweep keeps the state finite, below the TGM cap
         # and, in constrained mode, feasible.
         constrained = mode is ConstraintMode.MOMENT_CONSTRAINED
-        lam = eps2_share * 2.0 * (n - 1.0)
+        eps2 = eps2_share * 2.0 * (n - 1.0) / n
+        lam = eps2 * n
         sigma_sq = math.nextafter((n - 1.0) / (2.0 * lam), 0.0)
         while (n - 1.0) / (2.0 * sigma_sq) <= lam:
             sigma_sq = math.nextafter(sigma_sq, 0.0)
@@ -297,7 +295,7 @@ class TestConditionalEdges:
         state = GibbsState(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq,
                            omega_sq_inv=omega_sq_inv)
         rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
-                             budget=Budget(1.0, lam / n), bounds=UNIT)
+                             budget=Budget(1.0, eps2), bounds=UNIT)
         rng = gibbs.UniformBlock(np.random.default_rng(seed))
         for _ in range(3):
             try:
