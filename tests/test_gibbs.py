@@ -11,7 +11,7 @@ from scipy.special import ndtri
 
 import dpgibbs.gibbs as gibbs
 from dpgibbs.augmented import run_augmented_chain
-from dpgibbs.distributions import sample_tgm
+from dpgibbs.distributions import UniformBlock, sample_tgm
 from dpgibbs.errors import ConfigurationError, DpGibbsError
 from dpgibbs.feasible import pair_feasible, stats_feasible
 from dpgibbs.gibbs import (
@@ -296,7 +296,7 @@ class TestConditionalEdges:
                            omega_sq_inv=omega_sq_inv)
         rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
                              budget=Budget(1.0, eps2), bounds=UNIT)
-        rng = gibbs.UniformBlock(np.random.default_rng(seed))
+        rng = UniformBlock(np.random.default_rng(seed))
         for _ in range(3):
             try:
                 state = gibbs_step(state, rel, prior, mode, rng)
