@@ -6,8 +6,9 @@ Gamma(s_sq | (n-1)/2, (n-1)/(2 sigma_sq)) times the noise terms
 N(ybar_star | ybar, omega_sq) Exp(omega_sq | eps1^2 n^2/2)
 Laplace(s_sq_star | s_sq, 1/(n eps2)); the cap keeps the s_sq conditional
 a valid truncated gamma mixture.  Constrained mode multiplies in
-1{pair and stats feasible}, so there the prior on (mu, sigma_sq) is
-tilted by P(stats feasible | mu, sigma_sq).  One sweep, in this order:
+1{pair and stats feasible}, so there the prior on (mu, sigma_sq) is tilted
+by P(stats feasible | mu, sigma_sq).  Each move below leaves this joint
+invariant.  One sweep, in this order:
 
   mu, ybar  one block: mu with ybar integrated out, the prior times
             N(ybar_star | mu, sigma_sq/n + omega_sq); in constrained mode an
@@ -15,8 +16,10 @@ tilted by P(stats feasible | mu, sigma_sq).  One sweep, in this order:
             accepted by the ratio of P(ybar in its window | mu).  Then
             ybar | mu, normal, truncated to its window if constrained;
   sigma_sq  inverse gamma below the cap, and below mu (1 - mu) if constrained;
-  ridge     Metropolis move (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~
-            N(0, 2^2), along the scale pair (Yu & Meng, JCGS 20, 2011);
+  scale     Metropolis group move (Liu & Sabatti, Biometrika 87, 2000): sigma_sq
+            and s_sq times c, log c ~ N(0, 2^2), along their ridge (Yu & Meng,
+            JCGS 20, 2011), and under the conjugate prior, which ties mu - mu0
+            to sigma, also mu - mu0 and ybar - mu0 times sqrt(c);
   s_sq      TGM((n-1)/2, (n-1)/(2 sigma_sq), n eps2, s_sq_star), capped at
             n/(n-1) ybar (1 - ybar) if constrained;
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
@@ -53,7 +56,7 @@ from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
-_RIDGE_SD = 2.0  # sd h of log c in the ridge move; 1.5 to 3 mix alike on the lead release
+_RIDGE_SD = 2.0  # sd h of log c in the scale move; mixes within ~20% of the best h, flat or NIG
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -289,18 +292,21 @@ def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
     return sigma_sq
 
 
-def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float,
-              ybar_star: float, n: int, constrained: bool, rng: Generator) -> float:
-    """ybar | rest: normal, truncated to mean_window((n-1)/n s_sq) if constrained."""
-    prec = omega_sq_inv + n / sigma_sq
+def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float, prec: float,
+              ybar_star: float, n: int, window: tuple[float, float] | None,
+              rng: Generator) -> float:
+    """ybar | rest: normal with precision prec = omega_sq_inv + n/sigma_sq.
+
+    window is mean_window(min((n-1)/n s_sq, 1/4)) if constrained, else None; a
+    single-point window, at (n-1)/n s_sq >= 1/4, is returned without a draw.
+    """
     mean = (ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec
     sd = math.sqrt(1.0 / prec)
-    if not constrained:
+    if window is None:
         return mean + sd * rng.standard_normal()
-    scaled = (n - 1.0) / n * s_sq
-    if scaled >= 0.25:
-        return 0.5
-    lo, hi = mean_window(scaled)
+    lo, hi = window
+    if lo == hi:
+        return lo
     return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), s_sq, n / (n - 1.0))
 
 
@@ -326,7 +332,7 @@ def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
 
 def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
                mode: ConstraintMode, rng, consts: tuple | None = None) -> GibbsState:
-    """One sweep: (mu, ybar) as a block, sigma_sq, the ridge move, s_sq, omega_sq_inv.
+    """One sweep: (mu, ybar) as a block, sigma_sq, the scale move, s_sq, omega_sq_inv.
 
     consts is sweep_constants(release_unit, prior, mode), which run_chain computes once.
     """
@@ -339,6 +345,7 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     prec = kappa0 / sigma_sq + omega_sq_inv * n_prec / prec_y
     mean = (kappa0 * mu0 / sigma_sq + ybar_star * omega_sq_inv * n_prec / prec_y) / prec
     scaled = (n - 1.0) / n * s_sq
+    window = mean_window(min(scaled, 0.25)) if constrained else None  # of ybar
     if not constrained:
         mu = mean + rng.standard_normal() / math.sqrt(prec)
     elif sigma_sq >= 0.25 or scaled >= 0.25:
@@ -348,29 +355,35 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
         lo, hi = mean_window(sigma_sq)
         prop = snap_mean(sample_trunc_normal(mean, prec ** -0.5, lo, hi, rng), sigma_sq, 1.0)
         sd_y = math.sqrt(1.0 / prec_y)
-        lo, hi = ((w - ybar_star * omega_sq_inv / prec_y) / sd_y for w in mean_window(scaled))
+        lo, hi = ((w - ybar_star * omega_sq_inv / prec_y) / sd_y for w in window)
         slope = n_prec / prec_y / sd_y
         log_r = (_log_mass(lo - slope * prop, hi - slope * prop)
                  - _log_mass(lo - slope * mu, hi - slope * mu))
         if log_r >= 0.0 or rng.random() < math.exp(log_r):
             mu = prop
-    ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, ybar_star, n, constrained, rng)
+    ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, prec_y, ybar_star, n, window, rng)
 
     sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
 
-    # --- ridge move (sigma_sq, s_sq) -> (c sigma_sq, c s_sq), log c ~ N(0, h^2)
+    # --- scale move: (sigma_sq, s_sq) times c, log c ~ N(0, h^2); under the conjugate
+    # prior also mu - mu0 and ybar - mu0 times sqrt(c), which keeps kappa0 (mu - mu0)^2 and
+    # n (ybar - mu)^2 over sigma_sq, adds a c to the Jacobian and moves N(ybar_star | ybar)
     log_c = _RIDGE_SD * rng.standard_normal()
     c = math.exp(log_c)
-    sig_new, s_new = c * sigma_sq, c * s_sq
+    sig_new, s_new, mu_new, ybar_new, jac, noise = c * sigma_sq, c * s_sq, mu, ybar, 2.0, 0.0
+    if kappa0:
+        root = math.sqrt(c)
+        mu_new, ybar_new, jac = mu0 + root * (mu - mu0), mu0 + root * (ybar - mu0), 3.0
+        noise = omega_sq_inv / 2.0 * ((ybar_new - ybar_star) ** 2 - (ybar - ybar_star) ** 2)
     if (n - 1.0) / (2.0 * sig_new) > lam and (not constrained or (
-            pair_feasible(mu, sig_new) and stats_feasible(ybar, s_new, n))):
-        rate = (nu0_sigma0_sq + kappa0 * (mu - mu0) ** 2 + n * (ybar - mu) ** 2) / (2.0 * sigma_sq)
+            pair_feasible(mu_new, sig_new) and stats_feasible(ybar_new, s_new, n))):
+        rate = (nu0_sigma0_sq + (0.0 if kappa0 else n * (ybar - mu) ** 2)) / (2.0 * sigma_sq)
         # prior and N(ybar | mu, sigma_sq/n): c^-power e^(-rate (1/c - 1)); gamma: c^-1;
-        # Laplace: e^(-lam (|c s_sq - s*| - |s_sq - s*|)); Jacobian: c^2
-        log_r = ((2.0 - 1.0 - power) * log_c - rate * (1.0 / c - 1.0)
-                 - lam * (abs(s_new - s_sq_star) - abs(s_sq - s_sq_star)))
+        # Laplace: e^(-lam (|c s_sq - s*| - |s_sq - s*|)); Jacobian: c^jac
+        log_r = ((jac - 1.0 - power) * log_c - rate * (1.0 / c - 1.0)
+                 - lam * (abs(s_new - s_sq_star) - abs(s_sq - s_sq_star)) - noise)
         if log_r >= 0.0 or rng.random() < math.exp(log_r):
-            sigma_sq, s_sq = sig_new, s_new
+            mu, sigma_sq, ybar, s_sq = mu_new, sig_new, ybar_new, s_new
 
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
     s_sq = sample_tgm(alpha, (n - 1.0) / (2.0 * sigma_sq), lam, s_sq_star, upper, rng)

@@ -15,7 +15,7 @@ is the latent-value sweep written one latent at a time, with its O(1)
 moment update and acceptance probability as separate helpers, against
 which the package's block-and-scan sweep is checked.
 ``gibbs_step_reference`` is the collapsed sweep as one conditional draw
-per coordinate, against which the blocked sweep with its ridge move is
+per coordinate, against which the blocked sweep with its scale move is
 checked.  ``collapsed_joint_draws`` (rejection from the prior and data
 model) and ``successive_conditional_draws`` (the sweep under test,
 alternated with release regeneration) are the two sides of Geweke's
@@ -42,6 +42,7 @@ from dpgibbs.distributions import (
     sample_trunc_normal,
 )
 from dpgibbs.errors import SamplingError
+from dpgibbs.feasible import mean_window
 from dpgibbs.gibbs import (
     _ABS_DIFF_FLOOR,
     ConstraintMode,
@@ -464,8 +465,9 @@ def gibbs_step_reference(state: GibbsState, release_unit, prior, mode: Constrain
 
     mu = draw_mu(state.ybar, state.sigma_sq, n, prior, constrained, rng)
     sigma_sq = draw_sigma_sq(mu, state.ybar, state.s_sq, n, prior, constrained, lam, rng)
-    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv, ybar_star, n,
-                     constrained, rng)
+    window = mean_window(min((n - 1.0) / n * state.s_sq, 0.25)) if constrained else None
+    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv,
+                     state.omega_sq_inv + n / sigma_sq, ybar_star, n, window, rng)
 
     # --- s_sq ---
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
