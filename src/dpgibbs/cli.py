@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from importlib import resources
@@ -45,8 +46,8 @@ def _read_csv(path: str, width: int | None) -> tuple[list[str], list[np.ndarray]
 
     Blank lines and '#' lines are skipped.  The first remaining line is
     the header when one of its first `width` cells is not a number.
-    Every other row needs `width` numeric cells (None: as many as the
-    first line has); cells past them are ignored.
+    Every other row needs `width` finite numeric cells (None: as many as
+    the first line has); cells past them are ignored.
     """
     header, values = [], []
     for lineno, line in enumerate(Path(path).read_text().split("\n"), 1):
@@ -64,6 +65,8 @@ def _read_csv(path: str, width: int | None) -> tuple[list[str], list[np.ndarray]
             raise ValidationError(f"non-numeric cell on line {lineno} of {path}")
         if len(cells) < width:
             raise ValidationError(f"need {width} columns on line {lineno} of {path}")
+        if not all(map(math.isfinite, values[-1])):
+            raise ValidationError(f"non-finite cell on line {lineno} of {path}")
     if not values:
         raise ValidationError(f"no numeric rows found in {path}")
     return header, [np.asarray(col) for col in zip(*values)]
@@ -264,6 +267,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _parallelism(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpgibbs",
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario grid to a results CSV")
     p.add_argument("--grid", required=True, help="grid JSON path or 'fig2'")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_parallelism, default=1)
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)

@@ -3,7 +3,10 @@
 Everything here is a pure function of its arguments and an explicit
 ``numpy.random.Generator``; identical (seed, parameters) give identical
 draw sequences.  Where possible draws are produced by inverse-CDF so the
-output is a deterministic transform of the uniform stream.
+output is a deterministic transform of the uniform stream.  The truncated
+normal is inverse-CDF everywhere: each draw takes one uniform, whatever
+the window.  Only the truncated gamma falls back to rejection, for
+windows whose mass underflows.
 
 The kernels take plain floats and check them with inline comparisons,
 raising ValueError on bad arguments; a truncation window is the pair
@@ -15,7 +18,7 @@ The scalar kernels take their special functions from
 scipy.special.cython_special: the same C routines as the scipy.special
 ufuncs, with the same bits, but without the ufunc dispatch that costs
 about 1-3 us per scalar call, and returning float rather than
-numpy.float64.  ndtr stays on the ufunc, which is as fast for it.
+numpy.float64.
 
 The centrepiece is the truncated gamma mixture (TGM), the distribution
 of a gamma-distributed quantity observed through additive two-sided
@@ -38,10 +41,8 @@ from scipy.special import cython_special as cs
 from .errors import SamplingError
 
 _LOG_EPS = 1e-17  # relative series cutoff for log incomplete-gamma fallbacks
-_TAIL_Z = 6.0  # standardized distance beyond which normal tails use rejection
 _MIN_WINDOW_MASS = 1e-12
 _GAMMA_TAIL_BUDGET = 1000  # proposals per truncated gamma tail draw
-_NORMAL_TAIL_BUDGET = 10000  # proposals per truncated normal tail draw
 _UNIFORM_BLOCK = 4096  # doubles a UniformBlock draws at a time
 
 
@@ -275,66 +276,36 @@ def sample_tgm(alpha: float, beta: float, lam: float, tau: float, upper: float,
     return sample_trunc_gamma(alpha, beta + lam, tau, upper, rng)
 
 
-def _trunc_normal_tail(a: float, b: float, rng: Generator) -> float:
-    """Robert's exponential-proposal sampler for a standard normal on [a, b], a >= 0."""
-    lam = (a + math.sqrt(a * a + 4.0)) / 2.0
-    for _ in range(_NORMAL_TAIL_BUDGET):
-        z = a + rng.exponential(1.0 / lam)
-        if z > b:
-            continue
-        diff = z - lam
-        if math.log(rng.random()) < -0.5 * diff * diff:
-            return z
-    raise SamplingError("truncated normal tail rejection exhausted its budget",
-                        {"a": a, "b": b, "budget": _NORMAL_TAIL_BUDGET})
+def normal_window(mean: float, sd: float, lo: float, hi: float) -> tuple[float, float, float]:
+    """(sign, log Phi(a), log Phi(b)) for N(mean, sd^2) on [lo, hi], standardized to [a, b].
 
-
-def _normal_window(mean: float, sd: float, lo: float, hi: float):
-    """Standardized window (a, b) of N(mean, sd^2) on [lo, hi], and its masses.
-
-    (pa, qa, mass): Phi(a), Phi(-a) and the mass in whichever tail coordinate
-    keeps precision; None for a window more than ~6 sd from the mean.
+    A window with a > 0 is mirrored to [-b, -a], with sign -1, so that
+    both ends lie on the side of 0 where log_ndtr keeps full precision.
     """
     if sd <= 0 or not math.isfinite(sd):
         raise ValueError("sample_trunc_normal requires sd > 0")
     if not lo < hi:
         raise ValueError("truncation window requires lo < hi")
-    a = (lo - mean) / sd if math.isfinite(lo) else -math.inf
-    b = (hi - mean) / sd if math.isfinite(hi) else math.inf
-    if a >= _TAIL_Z or b <= -_TAIL_Z:
-        return a, b, None
-    pa = float(sc.ndtr(a)) if math.isfinite(a) else 0.0
-    pb = float(sc.ndtr(b)) if math.isfinite(b) else 1.0
-    qa = float(sc.ndtr(-a)) if math.isfinite(a) else 1.0
-    qb = float(sc.ndtr(-b)) if math.isfinite(b) else 0.0
-    mass = max(pb - pa, qa - qb)
-    if mass <= 0.0:
+    a, b, sign = (lo - mean) / sd, (hi - mean) / sd, 1.0
+    if a > 0.0:
+        a, b, sign = -b, -a, -1.0
+    la, lb = cs.log_ndtr(a), cs.log_ndtr(b)
+    if not la < lb:
         raise SamplingError("truncated normal window has numerically zero mass",
                             {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
-    return a, b, (pa, qa, mass)
+    return sign, la, lb
 
 
 def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
                         rng: Generator) -> float:
-    """Draw from N(mean, sd^2) conditioned on [lo, hi].
+    """Draw from N(mean, sd^2) conditioned on [lo, hi], from one uniform u.
 
-    Inverse-CDF in whichever tail coordinate keeps precision; windows
-    lying more than ~6 sd from the mean use a one-sided
-    exponential-proposal rejection sampler.
+    Inverse CDF in log space on normal_window's [a, b], however far into
+    a tail: z = ndtri_exp(log Phi(b) + log1p(u expm1(log Phi(a) - log Phi(b)))).
     """
-    a, b, masses = _normal_window(mean, sd, lo, hi)
-    if masses is None:
-        z = _trunc_normal_tail(a, b, rng) if a >= _TAIL_Z else -_trunc_normal_tail(-b, -a, rng)
-    else:
-        pa, qa, mass = masses
-        u = rng.random()
-        p = pa + u * mass
-        if p <= 0.5:
-            z = cs.ndtri(p)
-        else:
-            z = -cs.ndtri(max(qa - u * mass, 0.0))
-
-    x = mean + sd * z
+    sign, la, lb = normal_window(mean, sd, lo, hi)
+    z = cs.ndtri_exp(lb + cs.log1p(rng.random() * cs.expm1(la - lb)))
+    x = mean + sign * sd * z
     if x < lo:
         x = lo
     elif x > hi:
@@ -346,19 +317,13 @@ def sample_trunc_normal_block(mean: float, sd: float, lo: float, hi: float, size
                               rng: Generator) -> np.ndarray:
     """The floats of ``size`` calls of sample_trunc_normal on ``rng``, as one array.
 
-    random(size) yields the doubles of size random() calls and the ndtri ufunc
-    has the bits of cs.ndtri.  Tail windows loop the scalar kernel.
+    random(size) yields the doubles of size random() calls, and the
+    scipy.special ufuncs have the bits of their cython_special forms
+    (numpy's own log1p may not).
     """
-    _, _, masses = _normal_window(mean, sd, lo, hi)
-    if masses is None:
-        return np.array([sample_trunc_normal(mean, sd, lo, hi, rng) for _ in range(size)])
-    pa, qa, mass = masses
-    u_mass = rng.random(size) * mass
-    p = pa + u_mass
-    high = ~(p <= 0.5)
-    z = sc.ndtri(np.where(high, np.maximum(qa - u_mass, 0.0), p))
-    np.negative(z, out=z, where=high)
-    x = mean + sd * z
+    sign, la, lb = normal_window(mean, sd, lo, hi)
+    z = sc.ndtri_exp(lb + sc.log1p(rng.random(size) * cs.expm1(la - lb)))
+    x = mean + sign * sd * z
     # Masked stores, not np.clip, which would turn a -0.0 at lo = 0.0 into 0.0.
     x[x < lo] = lo
     x[x > hi] = hi

@@ -41,23 +41,22 @@ from enum import Enum
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import cython_special as cs
 
 from .distributions import (
     UniformBlock,
+    normal_window,
     sample_inverse_gaussian,
     sample_tgm,
     sample_trunc_gamma,
     sample_trunc_normal,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SamplingError
 from .feasible import mean_window, pair_feasible, snap_mean, stats_feasible
 from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
 _RIDGE_SD = 2.0  # sd h of log c in the scale move; mixes within ~20% of the best h, flat or NIG
-_SQRT_HALF = math.sqrt(0.5)
 
 
 class ConstraintMode(Enum):
@@ -310,15 +309,13 @@ def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float, prec
     return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), s_sq, n / (n - 1.0))
 
 
-def _log_mass(a: float, b: float) -> float:
-    """log(Phi(b) - Phi(a)) for a <= b, computed on the side of 0 that keeps precision."""
-    if a > 0.0:
-        a, b = -b, -a
-    if b > -30.0:  # erfc(-b / sqrt 2) is still a normal double
-        mass = math.erfc(-b * _SQRT_HALF) - math.erfc(-a * _SQRT_HALF)
-        return math.log(0.5 * mass) if mass > 0.0 else -math.inf
-    la, lb = cs.log_ndtr(a), cs.log_ndtr(b)
-    return lb + math.log1p(-math.exp(la - lb)) if la < lb else -math.inf
+def _log_mass(mean: float, sd: float, lo: float, hi: float) -> float:
+    """log P(lo <= N(mean, sd^2) <= hi); -inf where that mass underflows."""
+    try:
+        _, la, lb = normal_window(mean, sd, lo, hi)
+    except SamplingError:
+        return -math.inf
+    return lb + math.log(-math.expm1(la - lb))
 
 
 def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
@@ -355,10 +352,8 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
         lo, hi = mean_window(sigma_sq)
         prop = snap_mean(sample_trunc_normal(mean, prec ** -0.5, lo, hi, rng), sigma_sq, 1.0)
         sd_y = math.sqrt(1.0 / prec_y)
-        lo, hi = ((w - ybar_star * omega_sq_inv / prec_y) / sd_y for w in window)
-        slope = n_prec / prec_y / sd_y
-        log_r = (_log_mass(lo - slope * prop, hi - slope * prop)
-                 - _log_mass(lo - slope * mu, hi - slope * mu))
+        log_r = (_log_mass((ybar_star * omega_sq_inv + n_prec * prop) / prec_y, sd_y, *window)
+                 - _log_mass((ybar_star * omega_sq_inv + n_prec * mu) / prec_y, sd_y, *window))
         if log_r >= 0.0 or rng.random() < math.exp(log_r):
             mu = prop
     ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, prec_y, ybar_star, n, window, rng)
@@ -432,9 +427,8 @@ def predictive_draws(draws: PosteriorDraws, mode: PredictiveMode, bounds: Bounds
     mu = draws.mu
     sd = np.sqrt(draws.sigma_sq)
     if mode is PredictiveMode.TRUNCATED_PER_DRAW:
-        out = np.empty(mu.size)
-        for i in range(mu.size):
-            out[i] = sample_trunc_normal(float(mu[i]), float(sd[i]), 0.0, 1.0, rng)
+        out = np.array([sample_trunc_normal(m, s, 0.0, 1.0, rng)
+                        for m, s in zip(mu.tolist(), sd.tolist())])
     else:
         out = mu + sd * rng.standard_normal(mu.size)
         if mode is PredictiveMode.CLIP_AD_HOC:

@@ -61,8 +61,8 @@ class Scenario:
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
         check_config(self.n, self.eps2, self.prior, self.mode != "likelihood")
-        if not 0.0 < self.truth_mu < 1.0 or self.truth_sigma <= 0:
-            raise ConfigurationError("need truth_mu in (0, 1) and truth_sigma > 0")
+        if not (0.0 < self.truth_mu < 1.0 and 0.0 < self.truth_sigma < math.inf):
+            raise ConfigurationError("need truth_mu in (0, 1) and finite truth_sigma > 0")
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,7 @@ def run_grid(scenarios, parallelism: int = 1) -> list[ScenarioResult]:
     if not scenarios:
         raise ConfigurationError("scenario grid is empty")
     tasks = [(s, r) for s in scenarios for r in range(s.reps)]
+    parallelism = min(parallelism, len(tasks))  # a forked pool starts every worker up front
     if parallelism <= 1:
         records = list(map(_grid_task, tasks))
     else:

@@ -229,6 +229,37 @@ class TestSimulate:
             assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exits_2(self, tmp_path, value):
+        grid = self.grid_file(tmp_path, [self.scenario_dict()])
+        code, err = run_quietly(["simulate", "--grid", grid, "--parallelism", value,
+                                 "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "argument --parallelism: must be a positive integer" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        three, one = (_scenario(self.scenario_dict(reps=reps, iters=50)) for reps in (3, 1))
+        assert harness.run_grid([three], parallelism=64) == harness.run_grid([three])
+        assert harness.run_grid([one], parallelism=8) == harness.run_grid([one])
+        assert started == [3]  # the one-task grid ran serially
+
     @pytest.mark.parametrize("over, cause", [
         ({"n": 10, "eps2": 1.9}, "error: eps2 = 1.9 >= 2(n-1)/n = 1.8"),
         ({"n": 2}, "error: the flat prior needs n >= 3"),
@@ -365,6 +396,14 @@ MALFORMED = {
                                               "--prior", w("p.json", NIG_PRIOR))),
     "release --eps1 inf": (2, lambda w: _release_cmd(w("d.csv", DATA_LINES), eps1="inf")),
     "input is a directory": (3, lambda w: _release_cmd(str(Path(w("d.csv", "")).parent))),
+    "grid truth_sigma NaN": (2, lambda w: _grid(w, {"scenarios": [
+        {**SCENARIO, "truth_sigma": float("nan")}]})),
+    "grid truth_sigma Infinity": (2, lambda w: _grid(w, {"scenarios": [
+        {**SCENARIO, "truth_sigma": float("inf")}]})),
+    "summarize nan cell": (3, lambda w: ["summarize", "--draws",
+                                         w("d.csv", DRAWS_CSV + "50,nan\n")]),
+    "summarize inf cell": (3, lambda w: ["summarize", "--draws",
+                                         w("d.csv", DRAWS_CSV + "50,inf\n")]),
 }
 
 

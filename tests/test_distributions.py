@@ -18,6 +18,7 @@ from dpgibbs.distributions import (
 )
 from dpgibbs.errors import SamplingError
 from scipy import special as sc
+from scipy import stats
 from scipy.special import cython_special as cs
 from scipy.special import gammainc
 from dpgibbs.validation import ks_distance
@@ -257,7 +258,7 @@ class TestSampleTruncNormal:
             x = sample_trunc_normal(mean, sd, lo, lo + width, rng)
             assert lo <= x <= lo + width
 
-    def test_far_tail_rejection_branch(self, rng):
+    def test_upper_far_tail(self, rng):
         x = np.array([sample_trunc_normal(0.0, 1.0, 8.0, 8.5, rng)
                       for _ in range(3000)])
         assert np.all((x >= 8.0) & (x <= 8.5))
@@ -271,6 +272,37 @@ class TestSampleTruncNormal:
     def test_rejects_bad_sd(self, rng):
         with pytest.raises(ValueError):
             sample_trunc_normal(0.0, 0.0, 0.0, 1.0, rng)
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 1.5), (8.0, 9.0), (40.0, math.inf),
+                                        (1e3, 1e3 + 1.0), (-math.inf, -40.0)])
+    def test_one_uniform_per_draw(self, lo, hi):
+        """k draws leave the generator where k random() calls leave it."""
+        mean, sd, k = 0.3, 0.2, 200
+        lo, hi = mean + sd * lo, mean + sd * hi
+        rng, block_rng, ref = (np.random.default_rng(17) for _ in range(3))
+        for _ in range(k):
+            assert lo <= sample_trunc_normal(mean, sd, lo, hi, rng) <= hi
+        sample_trunc_normal_block(mean, sd, lo, hi, k, block_rng)
+        ref.random(k)
+        assert rng.random() == block_rng.random() == ref.random()
+
+    @pytest.mark.parametrize("a, b, seed", [(8.0, 9.0, 101), (-40.0, -39.0, 102),
+                                            (40.0, math.inf, 103), (-1.0, 30.0, 104)])
+    def test_tail_windows_match_the_exact_cdf(self, a, b, seed):
+        mean, sd = 2.0, 0.5
+        rng = np.random.default_rng(seed)
+        x = np.array([sample_trunc_normal(mean, sd, mean + sd * a, mean + sd * b, rng)
+                      for _ in range(20_000)])
+        assert stats.kstest((x - mean) / sd, lambda z: _trunc_normal_cdf(z, a, b)).pvalue > 1e-3
+
+
+def _trunc_normal_cdf(z, a, b):
+    """CDF of the standard normal on [a, b] from log_ndtr; a window right of 0 by symmetry."""
+    if a > 0.0:
+        return 1.0 - _trunc_normal_cdf(-z, -b, -a)
+    la, lz, lb = sc.log_ndtr(a), sc.log_ndtr(np.clip(z, a, b)), sc.log_ndtr(b)
+    with np.errstate(divide="ignore"):  # log(0) at z = a
+        return np.exp(lz - lb + np.log1p(-np.exp(la - lz)) - np.log1p(-np.exp(la - lb)))
 
 
 def _outcome(fn):
@@ -291,8 +323,8 @@ class TestSampleTruncNormalBlock:
            lo_z=st.one_of(st.just(-math.inf), _Z),
            hi_z=st.one_of(st.just(math.inf), st.floats(1e-3, 8.0), _Z),
            size=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
-    @example(mean=0.0, sd=1.0, lo_z=8.0, hi_z=0.5, size=300, seed=1)  # a >= 6
-    @example(mean=0.0, sd=1.0, lo_z=-9.0, hi_z=1.0, size=300, seed=2)  # b <= -6
+    @example(mean=0.0, sd=1.0, lo_z=8.0, hi_z=0.5, size=300, seed=1)  # upper tail
+    @example(mean=0.0, sd=1.0, lo_z=-9.0, hi_z=1.0, size=300, seed=2)  # lower tail
     @example(mean=0.0, sd=1.0, lo_z=6.0, hi_z=math.inf, size=50, seed=3)
     @example(mean=0.0, sd=1.0, lo_z=-math.inf, hi_z=-6.0, size=50, seed=4)
     @example(mean=0.4, sd=0.3, lo_z=-4.0 / 3.0, hi_z=2.0, size=2000, seed=5)  # [0, 1]
@@ -351,8 +383,8 @@ class TestUniformBlock:
             x = sample_tgm(2.0, 3.0, 1.0, 0.4, math.inf, block)
             assert math.isfinite(x) and x > 0.0
             assert 0.3 <= sample_trunc_normal(0.0, 1.0, 0.3, 0.9, block) <= 0.9
-            # the tail samplers' exponential proposals
             assert 7.0 <= sample_trunc_normal(0.0, 1.0, 7.0, 8.0, block) <= 8.0
+            # the gamma tail sampler's exponential proposals
             assert 60.0 < sample_trunc_gamma(2.0, 1.0, 60.0, math.inf, block)
             assert sample_inverse_gaussian(1.5, 2.0, block) > 0.0
 
@@ -412,6 +444,9 @@ _ARGUMENTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308]),
 _PROBABILITIES = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0]),
                            _decades(-300.0, 0.0), _decades(-16.0, 0.0).map(lambda e: 1.0 - e),
                            st.floats(0.0, 1.0))
+_REALS = st.one_of(st.sampled_from([-math.inf, -1e300, -40.0, -0.0, 0.0, 5e-324, math.inf]),
+                   _decades(-320.0, 308.0), _decades(-320.0, 308.0).map(lambda x: -x),
+                   st.floats(-50.0, 50.0), st.floats(allow_nan=False))
 
 
 class TestCythonSpecialMatchesUfunc:
@@ -442,4 +477,20 @@ class TestCythonSpecialMatchesUfunc:
     @settings(max_examples=300, deadline=None)
     def test_ndtri(self, p):
         assert cs.ndtri(p).hex() == float(sc.ndtri(p)).hex()
+
+    @pytest.mark.parametrize("name", ["log_ndtr", "expm1"])
+    @given(x=_REALS)
+    @settings(max_examples=300, deadline=None)
+    def test_on_the_real_line(self, name, x):
+        assert getattr(cs, name)(x).hex() == float(getattr(sc, name)(x)).hex()
+
+    @given(x=st.one_of(_REALS.map(lambda x: -abs(x)), _PROBABILITIES.map(lambda p: -p)))
+    @settings(max_examples=300, deadline=None)
+    def test_ndtri_exp(self, x):
+        assert cs.ndtri_exp(x).hex() == float(sc.ndtri_exp(x)).hex()
+
+    @given(x=st.one_of(_REALS.filter(lambda x: x >= -1.0), _PROBABILITIES.map(lambda p: -p)))
+    @settings(max_examples=300, deadline=None)
+    def test_log1p(self, x):
+        assert cs.log1p(x).hex() == float(sc.log1p(x)).hex()
 
