@@ -116,8 +116,11 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
     """Run the latent-value sampler; draws are on the [0, 1] scale.
 
     Constrained mode keeps every latent value inside the bounds and
-    (mu, sigma_sq) inside the feasible parameter region, with the flat
-    prior read as proper and uniform over that region.
+    (mu, sigma_sq) inside the feasible parameter region.  The moves leave
+    invariant prior x 1{sigma_sq <= mu (1 - mu)} x prod_i N(y_i | mu,
+    sigma_sq) 1{y_i in [0, 1]} x the Laplace noise terms, which tilts the
+    prior on (mu, sigma_sq) by Z(mu, sigma)^n with Z = Phi((1 - mu) / sigma)
+    - Phi(-mu / sigma).
     """
     check_config(release.n, release.budget.eps2, prior, False)
     release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)

@@ -116,12 +116,9 @@ def _load_prior(source: str) -> PriorSpec:
 
 
 def _format_draws_csv(columns: dict[str, np.ndarray]) -> str:
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    lines = [f"# format_version={FORMAT_VERSION}", "t," + ",".join(names)]
-    for t in range(length):
-        cells = ",".join(f"{columns[name][t]:.17g}" for name in names)
-        lines.append(f"{t},{cells}")
+    row = "%d" + ",%.17g" * len(columns)
+    lines = [f"# format_version={FORMAT_VERSION}", "t," + ",".join(columns)]
+    lines.extend(row % (t, *cells) for t, cells in enumerate(zip(*columns.values())))
     return "\n".join(lines) + "\n"
 
 

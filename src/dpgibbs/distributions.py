@@ -45,6 +45,13 @@ _MIN_WINDOW_MASS = 1e-12
 _GAMMA_TAIL_BUDGET = 1000  # proposals per truncated gamma tail draw
 _UNIFORM_BLOCK = 4096  # doubles a UniformBlock draws at a time
 
+# Double specializations of cython_special's fused functions, bound once so
+# that a call skips the fused signature dispatch.
+_log_ndtr = cs.log_ndtr.__signatures__["double"]
+_log1p = cs.log1p.__signatures__["double"]
+_expm1 = cs.expm1.__signatures__["double"]
+_expit = cs.expit.__signatures__["double"]
+
 
 def _log_reg_inc_gamma_lower(a: float, x: float) -> float:
     """log of the regularized lower incomplete gamma, robust to underflow."""
@@ -126,64 +133,34 @@ def _tgm_log_weights(alpha: float, beta: float, lam: float, tau: float,
     return log_w1, log_w2
 
 
-def _first_weight(d: float) -> float:
-    """1 / (1 + e^d): the first component's weight when d = log w2 - log w1."""
-    if d > 0:
-        return math.exp(-math.log1p(math.exp(-d)) - d)
-    return 1.0 / (1.0 + math.exp(d))
+def _trunc_gamma_tail(shape: float, rate: float, lo: float, hi: float, right: bool,
+                      rng: Generator) -> float:
+    """Rejection sampler for a gamma restricted far into its right or left tail.
 
-
-def _trunc_gamma_right_tail(shape: float, rate: float, lo: float, hi: float,
-                            rng: Generator) -> float:
-    """Rejection sampler for a gamma restricted far into its right tail."""
-    rate_p = rate - (shape - 1.0) / lo if shape > 1.0 else rate
-    if rate_p <= 0:
-        raise SamplingError(
-            "gamma right-tail sampler needs the window beyond the mode",
-            {"shape": shape, "rate": rate, "lo": lo, "hi": hi},
-        )
-    for _ in range(_GAMMA_TAIL_BUDGET):
-        x = lo + rng.exponential(1.0 / rate_p)
-        if x > hi:
-            continue
-        if shape == 1.0:
-            return x
-        log_accept = (shape - 1.0) * (math.log(x / lo) - (x - lo) / lo) if shape > 1.0 \
-            else (shape - 1.0) * math.log(x / lo)
-        if math.log(rng.random()) < log_accept:
-            return x
-    raise SamplingError(
-        "gamma right-tail rejection exhausted its retry budget",
-        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": _GAMMA_TAIL_BUDGET},
-    )
-
-
-def _trunc_gamma_left_tail(shape: float, rate: float, lo: float, hi: float,
-                           rng: Generator) -> float:
-    """Rejection sampler for a gamma restricted far into its left tail.
-
-    Valid when the density is increasing on the window (mode beyond hi);
-    proposes hi - Exp(rate_p) and accepts against the exact density.
+    Proposes x = e + d y, y ~ Exp(rate_p) from -log1p(-u), off the window end
+    e nearest the mode (e = lo, d = +1 on the right; e = hi, d = -1 on the
+    left), where rate_p = d (rate - k / e) is the log density's slope at e
+    when shape > 1 (k = shape - 1) and the rate otherwise (k = 0); skips
+    y >= hi - lo and accepts with f(x) e^(rate_p y) / f(e) (Devroye 1986,
+    ch. VII).  Reads only rng.random().  An x that rounds to lo is left to
+    the caller's clamp: a tail scale below lo's ulp still draws.
     """
-    rate_p = (shape - 1.0) / hi - rate
+    e, d = (lo, 1.0) if right else (hi, -1.0)
+    k = max(shape - 1.0, 0.0)
+    rate_p = d * (rate - k / e)
+    info = {"shape": shape, "rate": rate, "lo": lo, "hi": hi}
     if rate_p <= 0:
-        raise SamplingError(
-            "gamma left-tail sampler needs the window below the mode",
-            {"shape": shape, "rate": rate, "lo": lo, "hi": hi},
-        )
+        raise SamplingError("gamma tail sampler needs the window on one side of the mode", info)
     width = hi - lo
     for _ in range(_GAMMA_TAIL_BUDGET):
-        y = rng.exponential(1.0 / rate_p)
-        if y >= width:
+        y = -math.log1p(-rng.random()) / rate_p
+        if not y < width:
             continue
-        t = y / hi
-        log_accept = (shape - 1.0) * (math.log1p(-t) + t)
-        if math.log(rng.random()) < log_accept:
-            return hi - y
-    raise SamplingError(
-        "gamma left-tail rejection exhausted its retry budget",
-        {"shape": shape, "rate": rate, "lo": lo, "hi": hi, "budget": _GAMMA_TAIL_BUDGET},
-    )
+        t = d * y / e
+        if rng.random() < math.exp((shape - 1.0) * math.log1p(t) - k * t):
+            return e + d * y
+    raise SamplingError("gamma tail rejection exhausted its retry budget",
+                        {**info, "budget": _GAMMA_TAIL_BUDGET})
 
 
 def sample_trunc_gamma(shape: float, rate: float, lo: float, hi: float,
@@ -193,7 +170,7 @@ def sample_trunc_gamma(shape: float, rate: float, lo: float, hi: float,
     Primary method is inverse-CDF on the regularized incomplete gamma,
     switching between lower- and upper-tail coordinates to keep
     precision; windows carrying less than ~1e-12 of the mass fall back to
-    tail-specific rejection samplers.
+    the tail rejection sampler.
     """
     if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
         raise ValueError("sample_trunc_gamma requires finite positive shape and rate")
@@ -202,15 +179,9 @@ def sample_trunc_gamma(shape: float, rate: float, lo: float, hi: float,
     if lo < 0:
         raise ValueError("gamma truncation window must have lower >= 0")
 
-    xlo = rate * lo
-    xhi = rate * hi if math.isfinite(hi) else math.inf
-    flo = cs.gammainc(shape, xlo) if xlo > 0 else 0.0
-    qlo = cs.gammaincc(shape, xlo) if xlo > 0 else 1.0
-    if math.isfinite(hi):
-        fhi = cs.gammainc(shape, xhi)
-        qhi = cs.gammaincc(shape, xhi)
-    else:
-        fhi, qhi = 1.0, 0.0
+    xlo, xhi = rate * lo, rate * hi
+    flo, qlo = cs.gammainc(shape, xlo), cs.gammaincc(shape, xlo)
+    fhi, qhi = cs.gammainc(shape, xhi), cs.gammaincc(shape, xhi)
     mass = max(fhi - flo, qlo - qhi)
 
     if mass >= _MIN_WINDOW_MASS:
@@ -221,10 +192,8 @@ def sample_trunc_gamma(shape: float, rate: float, lo: float, hi: float,
         else:
             q = qlo - u * mass
             x = cs.gammainccinv(shape, max(q, 0.0)) / rate
-    elif flo >= 0.5:
-        x = _trunc_gamma_right_tail(shape, rate, lo, hi, rng)
-    elif qhi >= 0.5 and math.isfinite(hi):
-        x = _trunc_gamma_left_tail(shape, rate, lo, hi, rng)
+    elif flo >= 0.5 or qhi >= 0.5:
+        x = _trunc_gamma_tail(shape, rate, lo, hi, flo >= 0.5, rng)
     else:
         raise SamplingError(
             "truncated gamma window has numerically zero mass",
@@ -270,7 +239,7 @@ def sample_tgm(alpha: float, beta: float, lam: float, tau: float, upper: float,
     elif d == math.inf:
         take_first = False
     else:
-        take_first = rng.random() <= _first_weight(d)
+        take_first = rng.random() <= _expit(-d)
     if take_first:
         return sample_trunc_gamma(alpha, beta - lam, 0.0, tau, rng)
     return sample_trunc_gamma(alpha, beta + lam, tau, upper, rng)
@@ -289,7 +258,7 @@ def normal_window(mean: float, sd: float, lo: float, hi: float) -> tuple[float, 
     a, b, sign = (lo - mean) / sd, (hi - mean) / sd, 1.0
     if a > 0.0:
         a, b, sign = -b, -a, -1.0
-    la, lb = cs.log_ndtr(a), cs.log_ndtr(b)
+    la, lb = _log_ndtr(a), _log_ndtr(b)
     if not la < lb:
         raise SamplingError("truncated normal window has numerically zero mass",
                             {"mean": mean, "sd": sd, "lo": lo, "hi": hi})
@@ -304,7 +273,7 @@ def sample_trunc_normal(mean: float, sd: float, lo: float, hi: float,
     a tail: z = ndtri_exp(log Phi(b) + log1p(u expm1(log Phi(a) - log Phi(b)))).
     """
     sign, la, lb = normal_window(mean, sd, lo, hi)
-    z = cs.ndtri_exp(lb + cs.log1p(rng.random() * cs.expm1(la - lb)))
+    z = cs.ndtri_exp(lb + _log1p(rng.random() * _expm1(la - lb)))
     x = mean + sign * sd * z
     if x < lo:
         x = lo
@@ -322,7 +291,7 @@ def sample_trunc_normal_block(mean: float, sd: float, lo: float, hi: float, size
     (numpy's own log1p may not).
     """
     sign, la, lb = normal_window(mean, sd, lo, hi)
-    z = sc.ndtri_exp(lb + sc.log1p(rng.random(size) * cs.expm1(la - lb)))
+    z = sc.ndtri_exp(lb + sc.log1p(rng.random(size) * _expm1(la - lb)))
     x = mean + sign * sd * z
     # Masked stores, not np.clip, which would turn a -0.0 at lo = 0.0 into 0.0.
     x[x < lo] = lo
@@ -351,8 +320,8 @@ class UniformBlock:
     """A Generator's random() doubles, drawn a block at a time and read in order.
 
     Stands in for the Generator in the scalar kernels, at a fraction of the
-    cost per call: standard_normal() is ndtri(u) and exponential(scale) is
-    -scale log1p(-u), each skipping a zero u.
+    cost per call; standard_normal() is ndtri(u), skipping a zero u.  The
+    kernels read nothing else from it.
     """
 
     __slots__ = ("random",)
@@ -367,10 +336,6 @@ class UniformBlock:
     def standard_normal(self) -> float:
         u = self.random()
         return cs.ndtri(u) if u > 0.0 else self.standard_normal()
-
-    def exponential(self, scale: float = 1.0) -> float:
-        u = self.random()
-        return -scale * math.log1p(-u) if u > 0.0 else self.exponential(scale)
 
 
 def sample_laplace(loc: float, scale: float, rng: Generator) -> float:

@@ -81,7 +81,7 @@ class PriorSpec:
 
     so p(mu, sigma_sq) is proportional to
     sigma^-1 (sigma_sq)^-(nu0/2 + 1) exp(-(nu0 sigma0_sq + kappa0 (mu - mu0)^2) / (2 sigma_sq)),
-    with finite mu0 and positive kappa0, nu0, sigma0_sq.  The flat prior
+    with finite mu0 and finite positive kappa0, nu0, sigma0_sq.  The flat prior
     p(mu, sigma_sq) proportional to 1 is the limit kappa0 = 0, nu0 = -3,
     sigma0_sq = 0 of that density (Gelman et al., Bayesian Data Analysis,
     3rd ed., sections 3.2-3.3); those are the defaults, and a "flat" spec
@@ -103,8 +103,8 @@ class PriorSpec:
             if (self.kappa0, self.nu0, self.sigma0_sq) != (0.0, -3.0, 0.0):
                 raise ValueError("the flat prior has kappa0 = 0, nu0 = -3, sigma0_sq = 0")
         elif self.kind == "nig":
-            if not (self.kappa0 > 0 and self.nu0 > 0 and self.sigma0_sq > 0):
-                raise ValueError("conjugate prior needs positive kappa0, nu0, sigma0_sq")
+            if not all(0.0 < v < math.inf for v in (self.kappa0, self.nu0, self.sigma0_sq)):
+                raise ValueError("conjugate prior needs finite positive kappa0, nu0, sigma0_sq")
         else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if not math.isfinite(self.mu0):

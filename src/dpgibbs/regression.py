@@ -79,8 +79,10 @@ class RegPriors:
     def __post_init__(self):
         if self.mu0.shape != (2,) or self.lambda0.shape != (2, 2):
             raise ValueError("RegPriors are specific to simple regression (d = 2)")
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise ValueError("a0 and b0 must be positive")
+        if not (0.0 < self.a0 < math.inf and 0.0 < self.b0 < math.inf):
+            raise ValueError("a0 and b0 must be finite and positive")
+        if not (np.all(np.isfinite(self.mu0)) and np.all(np.isfinite(self.lambda0))):
+            raise ValueError("mu0 and lambda0 must be finite")
         if not np.allclose(self.lambda0, self.lambda0.T):
             raise ValueError("lambda0 must be symmetric")
         if np.linalg.eigvalsh(self.lambda0).min() <= 0:

@@ -33,7 +33,6 @@ from scipy.special import cython_special as cs
 
 from dpgibbs.distributions import (
     _check_tgm,
-    _first_weight,
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
     _tgm_log_weights,
@@ -91,7 +90,7 @@ def tgm_weights(alpha: float, beta: float, lam: float, tau: float) -> tuple[floa
     if log_w1 == -math.inf and log_w2 == -math.inf:
         raise SamplingError("TGM weights underflowed on both components",
                             {"params": (alpha, beta, lam, tau)})
-    pi1 = _first_weight(log_w2 - log_w1)
+    pi1 = float(sc.expit(log_w1 - log_w2))
     return pi1, 1.0 - pi1
 
 

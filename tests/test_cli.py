@@ -338,6 +338,7 @@ def test_console_entry_point_usage_exit():
 RELEASE = {"format_version": 1, "ybar_star": 34.3, "s_sq_star": 2224.0, "n": 43,
            "eps1": 0.25, "eps2": 0.25, "a": 0.0, "b": 100.0}
 NIG_PRIOR = {"kind": "nig", "mu0": 12.5, "kappa0": 1.0, "nu0": 1.0, "sigma0_sq": 14.44}
+REG_PRIOR = {"mu0": [1.0, 0.0], "lambda0": [[0.25, 0.0], [0.0, 0.25]], "a0": 20.0, "b0": 0.5}
 SCENARIO = {"n": 40, "eps1": 0.25, "eps2": 0.25, "truth_mu": 0.5, "truth_sigma": 0.2,
             "mode": "unconstrained", "reps": 2, "iters": 50, "base_seed": 11}
 DRAWS_CSV = "# format_version=1\nt,mu\n" + "".join(f"{t},{0.1 * t}\n" for t in range(50))
@@ -354,6 +355,12 @@ def _release_cmd(data, lower="0", upper="100", eps1="0.25"):
 
 def _grid(write, body):
     return ["simulate", "--grid", write("grid.json", body)]
+
+
+def _regress(write, **prior):
+    return ["regress", "--data", write("xy.csv", "x,y\n0,1\n1,3\n2,2\n3,5\n"),
+            "--eps-per-query", "1", "--iters", "50", "--seed", "1",
+            "--prior", write("p.json", {**REG_PRIOR, **prior})]
 
 
 # name -> (exit code, argv built from write(name, body) -> path)
@@ -404,6 +411,15 @@ MALFORMED = {
                                          w("d.csv", DRAWS_CSV + "50,nan\n")]),
     "summarize inf cell": (3, lambda w: ["summarize", "--draws",
                                          w("d.csv", DRAWS_CSV + "50,inf\n")]),
+    **{f"prior JSON {k} Infinity": (3, lambda w, k=k: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, k: float("inf")})))
+       for k in ("kappa0", "nu0", "sigma0_sq")},
+    "grid nig prior kappa0 Infinity": (3, lambda w: _grid(w, {"scenarios": [
+        {**SCENARIO, "prior": {**NIG_PRIOR, "kappa0": float("inf")}}]})),
+    "regress prior a0 Infinity": (3, lambda w: _regress(w, a0=float("inf"))),
+    "regress prior b0 Infinity": (3, lambda w: _regress(w, b0=float("inf"))),
+    "regress prior mu0 Infinity": (3, lambda w: _regress(w, mu0=[float("inf"), 0.0])),
+    "regress prior mu0 NaN": (3, lambda w: _regress(w, mu0=[float("nan"), 0.0])),
 }
 
 
@@ -479,8 +495,7 @@ _CASES = {
     "regress": st.tuples(
         st.fixed_dictionaries({
             "xy.csv": _csv_body(["x,y", "0,1", "1,3", "2,2", "3,5", "0.5,4", "7"]),
-            "p.json": _json_body({"mu0": [1.0, 0.0], "lambda0": [[0.25, 0.0], [0.0, 0.25]],
-                                  "a0": 20.0, "b0": 0.5})}),
+            "p.json": _json_body(REG_PRIOR)}),
         st.builds(lambda eps, iters, seed, extra: [
             "regress", "--data", "xy.csv", "--eps-per-query", eps, "--iters", iters,
             "--seed", seed, *extra], _FLOAT_FLAGS, _ITERS, _SEEDS,

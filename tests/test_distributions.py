@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpgibbs.distributions as distributions
 from dpgibbs.distributions import (
     UniformBlock,
     _log_reg_inc_gamma_lower,
@@ -18,7 +20,7 @@ from dpgibbs.distributions import (
 )
 from dpgibbs.errors import SamplingError
 from scipy import special as sc
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import cython_special as cs
 from scipy.special import gammainc
 from dpgibbs.validation import ks_distance
@@ -146,6 +148,13 @@ class TestTgmPdf:
             tgm_pdf(2.0, 2.0, 1.0, 1.0, 0.0)
 
 
+def _block_reading(uniforms):
+    """A UniformBlock whose random() is ``uniforms``."""
+    block = UniformBlock(np.random.default_rng(0))
+    block.random = uniforms
+    return block
+
+
 class TestSampleTruncGamma:
     def test_untruncated_matches_gamma_mean(self, rng):
         shape, rate = 3.0, 2.0
@@ -194,6 +203,28 @@ class TestSampleTruncGamma:
         a = [sample_trunc_gamma(2.0, 1.5, 0.2, 3.0, r1) for _ in range(50)]
         b = [sample_trunc_gamma(2.0, 1.5, 0.2, 3.0, r2) for _ in range(50)]
         assert a == b
+
+    @pytest.mark.parametrize("shape, lo, hi, seed", [
+        (3.0, 30.0, 32.0, 201), (3.0, 40.0, math.inf, 202), (0.5, 40.0, math.inf, 203),
+        (1.0, 40.0, 45.0, 204), (400.0, 0.0, 250.0, 205), (400.0, 200.0, 250.0, 206),
+        (1e4, 1.1e4, math.inf, 207), (1e4, 0.0, 9.1e3, 208), (2.0, 0.0, 1e-7, 209)])
+    def test_tail_windows_match_the_exact_cdf(self, shape, lo, hi, seed):
+        """Far in a tail the envelope is nearly exact; on (0, 1e-7] the acceptance step decides."""
+        rng = np.random.default_rng(seed)
+        x = np.array([sample_trunc_gamma(shape, 1.0, lo, hi, rng) for _ in range(5000)])
+        assert np.all((x > lo) & (x <= hi))
+        assert stats.kstest(x, lambda z: _trunc_gamma_cdf(z, shape, lo, hi)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("stub", [lambda u: SimpleNamespace(random=u), _block_reading],
+                             ids=["random only", "UniformBlock"])
+    @pytest.mark.parametrize("shape, lo, hi, expected", [
+        (2.0, 60.0, math.inf, 60.0 - math.log1p(-0.3) / (1.0 - 1.0 / 60.0)),
+        (400.0, 0.0, 250.0, 250.0 + math.log1p(-0.3) / (399.0 / 250.0 - 1.0))],
+        ids=["right", "left"])
+    def test_tails_read_only_uniforms(self, stub, shape, lo, hi, expected):
+        """Both tails take a proposal and an acceptance uniform, which may be 0.0."""
+        rng = stub(iter([0.3, 0.0]).__next__)
+        assert sample_trunc_gamma(shape, 1.0, lo, hi, rng) == pytest.approx(expected, rel=1e-15)
 
 
 class TestSampleTgm:
@@ -305,6 +336,31 @@ def _trunc_normal_cdf(z, a, b):
         return np.exp(lz - lb + np.log1p(-np.exp(la - lz)) - np.log1p(-np.exp(la - lb)))
 
 
+def _trunc_gamma_cdf(z, shape, lo, hi):
+    """CDF of Gamma(shape, 1) on (lo, hi] at z, by quadrature of exp(g(t) - g(e)).
+
+    g(t) = (shape - 1) log t - t and e is the window end nearest the mode,
+    so the integrand peaks at 1 and nothing underflows.  Segments between
+    the sorted points are integrated one by one and summed.
+    """
+    def g(t):
+        return (shape - 1.0) * math.log(t) - t
+
+    ge = g(lo if lo >= shape - 1.0 else hi)
+
+    def f(t):
+        return math.exp(g(t) - ge) if t > 0.0 else 0.0
+
+    order = np.argsort(z)
+    knots = [lo, *np.clip(np.asarray(z, dtype=float)[order], lo, hi), hi]
+    pieces = [integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0] if a < b else 0.0
+              for a, b in zip(knots[:-1], knots[1:])]
+    cdf = np.cumsum(pieces)
+    out = np.empty(len(order))
+    out[order] = cdf[:-1] / cdf[-1]
+    return out
+
+
 def _outcome(fn):
     """fn()'s floats as bytes, or the class and message of the error it raises."""
     try:
@@ -365,14 +421,11 @@ class TestUniformBlock:
         u = np.random.default_rng(9).random(2)
         block = UniformBlock(np.random.default_rng(9))
         assert block.standard_normal() == cs.ndtri(u[0])
-        assert block.exponential(2.0) == -2.0 * math.log1p(-u[1])
 
     def test_a_zero_uniform_is_skipped(self):
         block = UniformBlock(np.random.default_rng(0))
         block.random = iter([0.0, 0.0, 0.25]).__next__
         assert block.standard_normal() == cs.ndtri(0.25)
-        block.random = iter([0.0, 0.25]).__next__
-        assert block.exponential() == -math.log1p(-0.25)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -384,7 +437,7 @@ class TestUniformBlock:
             assert math.isfinite(x) and x > 0.0
             assert 0.3 <= sample_trunc_normal(0.0, 1.0, 0.3, 0.9, block) <= 0.9
             assert 7.0 <= sample_trunc_normal(0.0, 1.0, 7.0, 8.0, block) <= 8.0
-            # the gamma tail sampler's exponential proposals
+            # the gamma tail sampler
             assert 60.0 < sample_trunc_gamma(2.0, 1.0, 60.0, math.inf, block)
             assert sample_inverse_gaussian(1.5, 2.0, block) > 0.0
 
@@ -494,3 +547,9 @@ class TestCythonSpecialMatchesUfunc:
     def test_log1p(self, x):
         assert cs.log1p(x).hex() == float(sc.log1p(x)).hex()
 
+    @pytest.mark.parametrize("name", ["log_ndtr", "log1p", "expm1", "expit"])
+    @given(x=st.one_of(_REALS, _PROBABILITIES.map(lambda p: -p)))
+    @settings(max_examples=300, deadline=None)
+    def test_double_specialization(self, name, x):
+        """distributions binds the double form of each fused function once."""
+        assert getattr(distributions, "_" + name)(x).hex() == float(getattr(sc, name)(x)).hex()
