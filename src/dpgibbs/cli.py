@@ -159,10 +159,14 @@ def cmd_infer(args) -> int:
                 else ConstraintMode.UNCONSTRAINED)
         draws = run_chain(rel, prior, mode, config,
                           force_sigma_constraint=args.force_sigma_constraint)
-    mu, sigma_sq = rel.bounds.from_unit(draws.mu, draws.sigma_sq)
-    ybar, s_sq = rel.bounds.from_unit(draws.ybar, draws.s_sq)
-    _write_text(args.out, _format_draws_csv({"mu": mu, "sigma_sq": sigma_sq,
-                                             "ybar": ybar, "s_sq": s_sq}))
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming its column
+        mu, sigma_sq = rel.bounds.from_unit(draws.mu, draws.sigma_sq)
+        ybar, s_sq = rel.bounds.from_unit(draws.ybar, draws.s_sq)
+    columns = {"mu": mu, "sigma_sq": sigma_sq, "ybar": ybar, "s_sq": s_sq}
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            raise NumericalError(f"{name} draws are not finite on {rel.bounds}")
+    _write_text(args.out, _format_draws_csv(columns))
     return 0
 
 

@@ -26,7 +26,8 @@ exponential noise: shape alpha, central rate beta, noise rate lam and
 observation tau, with alpha > 0 and beta > lam >= 0.  Its mixture
 weights are computed in log space (``_tgm_log_weights``, used by
 ``sample_tgm`` and by the test oracles) to survive the large
-``exp(lam * tau)`` factors that appear in the weight formulas.
+``exp(lam * tau)`` factors that appear in the weight formulas.  Where scipy's
+incomplete gammas underflow, Kummer's function or a continued fraction takes over.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from scipy.special import cython_special as cs
 
 from .errors import SamplingError
 
-_LOG_EPS = 1e-17  # relative series cutoff for log incomplete-gamma fallbacks
+# log Q's continued fraction: term budget, stopping step, floor on Lentz denominators
+_CF_TERMS, _CF_TOL, _CF_TINY = 100, 1e-15, 1e-300
 _MIN_WINDOW_MASS = 1e-12
 _GAMMA_TAIL_BUDGET = 1000  # proposals per truncated gamma tail draw
 _UNIFORM_BLOCK = 4096  # doubles a UniformBlock draws at a time
@@ -51,49 +53,42 @@ _log_ndtr = cs.log_ndtr.__signatures__["double"]
 _log1p = cs.log1p.__signatures__["double"]
 _expm1 = cs.expm1.__signatures__["double"]
 _expit = cs.expit.__signatures__["double"]
+_hyp1f1 = cs.hyp1f1.__signatures__["double"]
 
 
 def _log_reg_inc_gamma_lower(a: float, x: float) -> float:
-    """log of the regularized lower incomplete gamma, robust to underflow."""
+    """log P(a, x), robust to underflow: where P is 0, Kummer's form
+    x^a e^-x M(1, a + 1, x) / Gamma(a + 1) (Abramowitz & Stegun 6.5.12, 13.1.2)."""
     if x <= 0.0:
         return -math.inf
     v = cs.gammainc(a, x)
     if v > 0.0:
         return math.log(v)
-    # Far left tail: gamma(a,x) = x^a e^-x sum_k x^k / (a (a+1) ... (a+k))
-    term = 1.0 / a
-    total = term
-    k = 1
-    while k < 1000:
-        term *= x / (a + k)
-        total += term
-        if term < total * _LOG_EPS:
-            break
-        k += 1
-    return a * math.log(x) - x + math.log(total) - cs.gammaln(a)
+    return a * math.log(x) - x - cs.gammaln(a + 1.0) + math.log(_hyp1f1(1.0, a + 1.0, x))
 
 
 def _log_reg_inc_gamma_upper(a: float, x: float) -> float:
-    """log of the regularized upper incomplete gamma, robust to underflow."""
-    if x <= 0.0:
-        return 0.0
+    """log Q(a, x), robust to underflow: where Q is 0, so x > a + 1, Legendre's
+    continued fraction Gamma(a, x) = x^a e^-x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
+    by modified Lentz (Numerical Recipes, 3rd ed., 6.2)."""
+    if not 0.0 < x < math.inf:
+        return 0.0 if x <= 0.0 else -math.inf
     v = cs.gammaincc(a, x)
     if v > 0.0:
         return math.log(v)
-    # Far right tail: Gamma(a,x) ~ x^(a-1) e^-x [1 + (a-1)/x + ...]
-    term = 1.0
-    total = term
-    k = 1
-    while k < 60:
-        factor = (a - k) / x
-        if abs(factor) >= 1.0:
-            break  # asymptotic series no longer decreasing
-        term *= factor
-        total += term
-        if abs(term) < abs(total) * _LOG_EPS:
-            break
-        k += 1
-    return (a - 1.0) * math.log(x) - x + math.log(max(total, _LOG_EPS)) - cs.gammaln(a)
+    b, c = x + 1.0 - a, 1.0 / _CF_TINY
+    d = h = 1.0 / b
+    for i in range(1, _CF_TERMS):
+        an, b = i * (a - i), b + 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+        c = b + an / c
+        c = c if abs(c) > _CF_TINY else _CF_TINY
+        h *= d * c
+        if abs(d * c - 1.0) < _CF_TOL:
+            return a * math.log(x) - x - cs.gammaln(a) + math.log(h)
+    raise SamplingError("continued fraction for log Q(a, x) did not converge",
+                        {"a": a, "x": x, "terms": _CF_TERMS})
 
 
 def _check_tgm(alpha: float, beta: float, lam: float, tau: float):

@@ -29,16 +29,16 @@ class Bounds:
 
     The promise must be independent of the realized values; that is a
     documented contract of the caller, not something this type can check.
+    (b - a)^2, the variance scale of the map to [0, 1], must be positive and finite.
     """
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("Bounds must be finite")
-        if not self.a < self.b:
-            raise ValueError("Bounds require a < b")
+        w = self.b - self.a
+        if not (self.a < self.b and 0.0 < w * w < math.inf):
+            raise ValueError("Bounds require a < b with 0 < (b - a)^2 < inf")
 
     @property
     def width(self) -> float:

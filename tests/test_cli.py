@@ -333,7 +333,8 @@ def test_console_entry_point_usage_exit():
     assert proc.returncode == 2
 
 
-# -- malformed input: every bad flag or file is exit 2 or 3, never a traceback --
+# -- malformed input: every bad flag or file is exit 2 or 3 (4 for draws that overflow on
+# the bounds), never a traceback --
 
 RELEASE = {"format_version": 1, "ybar_star": 34.3, "s_sq_star": 2224.0, "n": 43,
            "eps1": 0.25, "eps2": 0.25, "a": 0.0, "b": 100.0}
@@ -342,6 +343,10 @@ REG_PRIOR = {"mu0": [1.0, 0.0], "lambda0": [[0.25, 0.0], [0.0, 0.25]], "a0": 20.
 SCENARIO = {"n": 40, "eps1": 0.25, "eps2": 0.25, "truth_mu": 0.5, "truth_sigma": 0.2,
             "mode": "unconstrained", "reps": 2, "iters": 50, "base_seed": 11}
 DRAWS_CSV = "# format_version=1\nt,mu\n" + "".join(f"{t},{0.1 * t}\n" for t in range(50))
+# a release on [0, 1e154]: (b - a)^2 = 1e308 is finite, but unconstrained sigma_sq draws
+# of order 1 on [0, 1] overflow when mapped back
+OVERFLOWING = {**RELEASE, "ybar_star": 5e153, "s_sq_star": 5e307, "n": 50, "eps1": 0.01,
+               "eps2": 0.01, "b": 1e154}
 
 
 def _infer(release, *extra):
@@ -420,6 +425,13 @@ MALFORMED = {
     "regress prior b0 Infinity": (3, lambda w: _regress(w, b0=float("inf"))),
     "regress prior mu0 Infinity": (3, lambda w: _regress(w, mu0=[float("inf"), 0.0])),
     "regress prior mu0 NaN": (3, lambda w: _regress(w, mu0=[float("nan"), 0.0])),
+    "release JSON (b - a)^2 overflows": (3, lambda w: _infer(
+        w("r.json", {**RELEASE, "n": 50, "a": -1e300, "b": 1e300}))),
+    "release JSON (b - a)^2 underflows": (3, lambda w: _infer(
+        w("r.json", {**RELEASE, "n": 50, "a": 0.0, "b": 1e-300}))),
+    "release --upper 1e300": (2, lambda w: _release_cmd(w("d.csv", DATA_LINES), upper="1e300")),
+    **{f"infer --sampler {s} sigma_sq overflows on the bounds": (4, lambda w, s=s: _infer(
+        w("r.json", OVERFLOWING), "--sampler", s)) for s in ("moment", "likelihood")},
 }
 
 

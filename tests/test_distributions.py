@@ -1,6 +1,8 @@
 import math
+import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from dpgibbs.distributions import (
     UniformBlock,
     _log_reg_inc_gamma_lower,
     _log_reg_inc_gamma_upper,
+    _tgm_log_weights,
     sample_inverse_gaussian,
     sample_laplace,
     sample_tgm,
@@ -31,6 +34,46 @@ _W1_EXPECTED = math.exp(-1.0) * (1.0 - 2.0 * math.exp(-1.0))
 _W2_EXPECTED = math.exp(1.0) * (4.0 * math.exp(-3.0)) / 9.0
 PI1_2211 = _W1_EXPECTED / (_W1_EXPECTED + _W2_EXPECTED)
 
+# (alpha, beta, lam, tau) of the s_sq conditional, alpha = (n-1)/2, beta = (n-1)/(2 sigma_sq),
+# lam = eps2 n, at (n, eps2, sigma_sq, tau) = (1e6, 0.1, 0.25, 0.2515), (1e7, 1, 0.01, 0.00998)
+# and (1e8, 0.1, 0.04, 0.03992): Q(alpha, (beta + lam) tau) underflows at all three and
+# P(alpha, (beta - lam) tau) at the last two
+LARGE_N_TGMS = [((n - 1.0) / 2.0, (n - 1.0) / (2.0 * s2), eps2 * n, tau)
+                for n, eps2, s2, tau in [(1e6, 0.1, 0.25, 0.2515), (1e7, 1.0, 0.01, 0.00998),
+                                         (1e8, 0.1, 0.04, 0.03992)]]
+
+
+def _underflow_edge(f, a, zero, positive):
+    """The float nearest `positive` where f(a, x) is 0, bisecting from f(a, zero) = 0."""
+    while True:
+        mid = 0.5 * (zero + positive)
+        if mid in (zero, positive):
+            return zero
+        if f(a, mid) == 0.0:
+            zero = mid
+        else:
+            positive = mid
+
+
+def _tgm_first_share(alpha, beta, lam, tau):
+    """P(t <= tau) for the TGM density t^(alpha-1) e^(-beta t - lam |t - tau|), alpha > 1.
+
+    Quadrature of exp(g(t) - g(p)), p the peak of g (the mode of a piece, or the
+    kink at tau), over 60 sd of the lower piece's gamma each side of tau and p.
+    """
+    k = alpha - 1.0
+    p = min(max(tau, k / (beta + lam)), k / (beta - lam))
+
+    def f(t):
+        return math.exp(k * math.log1p((t - p) / p) - beta * (t - p)
+                        - lam * (abs(t - tau) - abs(p - tau)))
+
+    width = abs(p - tau) + 60.0 * math.sqrt(alpha) / (beta - lam)
+    knots = sorted({max(tau - width, 0.0), tau, p, tau + width})
+    pieces = [(b, integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0])
+              for a, b in zip(knots[:-1], knots[1:])]
+    return sum(v for b, v in pieces if b <= tau) / sum(v for _, v in pieces)
+
 
 class TestRegIncGamma:
     """The log-space regularized incomplete gamma behind the TGM weights."""
@@ -48,12 +91,35 @@ class TestRegIncGamma:
             assert _log_reg_inc_gamma_lower(a, 0.0) == -math.inf
             assert _log_reg_inc_gamma_upper(a, 0.0) == 0.0
 
+    def test_infinite_argument(self):
+        for a in (0.3, 1.0, 7.5, 1e6):
+            assert _log_reg_inc_gamma_lower(a, math.inf) == 0.0
+            assert _log_reg_inc_gamma_upper(a, math.inf) == -math.inf
+
     @given(st.floats(0.05, 50.0), st.floats(0.0, 80.0))
     @settings(max_examples=200, deadline=None)
     def test_tails_sum_to_one(self, shape, x):
         total = (math.exp(_log_reg_inc_gamma_lower(shape, x))
                  + math.exp(_log_reg_inc_gamma_upper(shape, x)))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 3.0, 50.0, 1e3, 1e5, 1e6, 1e7, 1e8])
+    def test_upper_tail_matches_mpmath(self, a, scale):
+        """From the smallest x where gammaincc underflows."""
+        x = scale * _underflow_edge(cs.gammaincc, a, 2.0 * a + 2000.0, a + 1.0)
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+        assert _log_reg_inc_gamma_upper(a, x) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("a", [50.0, 1e3, 1e5, 1e6, 1e7])
+    def test_lower_tail_matches_mpmath(self, a, scale):
+        """From the largest x where gammainc underflows."""
+        x = scale * _underflow_edge(cs.gammainc, a, sys.float_info.min, a)
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.gammainc(a, 0, x, regularized=True)))
+        assert _log_reg_inc_gamma_lower(a, x) == pytest.approx(ref, rel=1e-9)
 
 
 class TestTgmParams:
@@ -105,6 +171,11 @@ class TestTgmWeights:
         pi1, pi2 = tgm_weights(alpha, beta, lam_frac * beta, tau)
         assert 0.0 <= pi1 <= 1.0
         assert pi1 + pi2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("params", LARGE_N_TGMS, ids=["n1e6", "n1e7", "n1e8"])
+    def test_large_n_weights_match_quadrature(self, params):
+        log_w1, log_w2 = _tgm_log_weights(*params, math.inf)
+        assert sc.expit(log_w1 - log_w2) == pytest.approx(_tgm_first_share(*params), abs=1e-6)
 
 
 class TestTgmPdf:
@@ -257,6 +328,14 @@ class TestSampleTgm:
     def test_upper_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             sample_tgm(2.0, 2.0, 1.0, 1.0, 0.0, rng)
+
+    def test_large_n_component_share(self):
+        """At n = 1e7 both components' windows and weights sit in underflowing tails."""
+        params = LARGE_N_TGMS[1]
+        p = _tgm_first_share(*params)
+        rng = np.random.default_rng(211)
+        x = np.array([sample_tgm(*params, math.inf, rng) for _ in range(4000)])
+        assert abs((x <= params[3]).mean() - p) < 4.0 * math.sqrt(p * (1.0 - p) / x.size)
 
     def test_determinism(self):
         a = [sample_tgm(5.0, 3.0, 2.0, 0.5, math.inf, np.random.default_rng(3))
@@ -417,7 +496,7 @@ class TestUniformBlock:
         got = [block.random() for _ in range(10_000)]  # crosses two block boundaries
         assert got == np.random.default_rng(8).random(10_000).tolist()
 
-    def test_normals_and_exponentials_are_transforms_of_the_uniforms(self):
+    def test_normals_are_transforms_of_the_uniforms(self):
         u = np.random.default_rng(9).random(2)
         block = UniformBlock(np.random.default_rng(9))
         assert block.standard_normal() == cs.ndtri(u[0])
