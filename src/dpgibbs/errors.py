@@ -18,18 +18,18 @@ class ValidationError(DpGibbsError):
 
 
 class NumericalError(DpGibbsError):
-    """A numerical routine failed to reach its accuracy or stability target."""
+    """A numerical routine failed to reach its accuracy or stability target.
 
-
-class SamplingError(NumericalError):
-    """A random-variate routine could not produce a draw.
-
-    Carries a ``diagnostics`` dict describing the offending parameters.
+    Carries a ``diagnostics`` dict describing the offending parameters or state.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+class SamplingError(NumericalError):
+    """A random-variate routine could not produce a draw."""
 
 
 class StuckChainError(SamplingError):

@@ -16,10 +16,11 @@ invariant.  One sweep, in this order:
             accepted by the ratio of P(ybar in its window | mu).  Then
             ybar | mu, normal, truncated to its window if constrained;
   sigma_sq  inverse gamma below the cap, and below mu (1 - mu) if constrained;
-  scale     Metropolis group move (Liu & Sabatti, Biometrika 87, 2000): sigma_sq
-            and s_sq times c, log c ~ N(0, 2^2), along their ridge (Yu & Meng,
-            JCGS 20, 2011), and under the conjugate prior, which ties mu - mu0
-            to sigma, also mu - mu0 and ybar - mu0 times sqrt(c);
+  scale     group move (Liu & Sabatti, Biometrika 87, 2000): sigma_sq and s_sq
+            times c along their ridge (Yu & Meng, JCGS 20, 2011), and under the
+            conjugate prior, which ties mu - mu0 to sigma, also mu - mu0 and
+            ybar - mu0 times sqrt(c); Metropolis, log c ~ N(0, 2^2), under the
+            flat prior, a slice step on log c under the conjugate prior;
   s_sq      TGM((n-1)/2, (n-1)/(2 sigma_sq), n eps2, s_sq_star), capped at
             n/(n-1) ybar (1 - ybar) if constrained;
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -50,13 +51,15 @@ from .distributions import (
     sample_trunc_gamma,
     sample_trunc_normal,
 )
-from .errors import ConfigurationError, SamplingError
-from .feasible import mean_window, pair_feasible, snap_mean, stats_feasible
+from .errors import ConfigurationError, NumericalError, SamplingError
+from .feasible import mean_window, snap_mean
 from .release import Bounds, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
-_RIDGE_SD = 2.0  # sd h of log c in the scale move; mixes within ~20% of the best h, flat or NIG
+_RIDGE_SD = 2.0  # sd h of log c in the flat prior's scale move; mixes within ~20% of the best h
+_SLICE_WIDTH = 4.0  # widest slice step on log c, about half of lead's plateau of log sigma_sq
+_SLICE_STEPS, _SLICE_SHRINKS = 8, 500  # at most m widths stepped out; shrinkage proposals
 
 
 class ConstraintMode(Enum):
@@ -275,8 +278,13 @@ def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
     latent-value sampler passes None.
     """
     shape = (n + prior.nu0 + 1.0) / 2.0
-    rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq + n * (ybar - mu) ** 2
-            + prior.kappa0 * (mu - prior.mu0) ** 2) / 2.0
+    try:
+        rate = (prior.nu0 * prior.sigma0_sq + (n - 1.0) * s_sq + n * (ybar - mu) ** 2
+                + prior.kappa0 * (mu - prior.mu0) ** 2) / 2.0
+    except OverflowError:  # a square of a finite state
+        rate = math.inf
+    if not rate < math.inf:
+        raise NumericalError("sigma_sq's rate is not finite", dict(mu=mu, ybar=ybar, s_sq=s_sq))
     prec_floor = 0.0 if tgm_lam is None else 2.0 * tgm_lam / (n - 1.0)
     if constrained:
         prec_floor = max(prec_floor, 1.0 / (mu * (1.0 - mu)))
@@ -322,9 +330,52 @@ def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
                     mode: ConstraintMode) -> tuple:
     """What gibbs_step reads of the release, prior and mode."""
     n, eps1n = release_unit.n, release_unit.budget.eps1 * release_unit.n
-    return (n, release_unit.budget.eps2 * n, release_unit.ybar_star, release_unit.s_sq_star,
+    lam = release_unit.budget.eps2 * n  # the Laplace term holds log c within about 1/(lam s*)
+    return (n, lam, release_unit.ybar_star, release_unit.s_sq_star,
             mode is ConstraintMode.MOMENT_CONSTRAINED, eps1n, (n - 1.0) / 2.0, prior.kappa0,
-            prior.mu0, prior.nu0 * prior.sigma0_sq, prior.nu0 / 2.0 + 2.0)
+            prior.mu0, prior.nu0 * prior.sigma0_sq, prior.nu0 / 2.0 + 2.0,
+            min(_SLICE_WIDTH, 8.0 / (lam * clamped_release(release_unit)[1])))
+
+
+def _ridge_log_ratio(x: float, p: tuple) -> float:
+    """log target at the scale move's image under c = e^x over the target at the state.
+
+    The image has c sigma_sq, c s_sq, mu_at + sqrt(c) mu_off and ybar_at + sqrt(c) ybar_off.
+    -inf at or above the TGM cap, or if q = n/(n-1) > 0 where infeasible.  Else prior and
+    N(ybar | mu, sigma_sq/n): c^-power e^(-rate (e^-x - 1)); gamma: c^-1; Laplace:
+    e^(-lam (|c s_sq - s*| - gap)); Jacobian: c^(coef + 1 + power); N(ybar_star | ybar) if
+    half_omega, which is 1/(2 omega_sq), is not 0.
+    """
+    alpha, lam, ybar_star, s_sq_star, q, sigma_sq, s_sq, mu_at, mu_off, ybar_at, ybar_off, \
+        coef, rate, half_omega, noise, gap = p
+    c = math.exp(x)
+    sig, root = c * sigma_sq, math.sqrt(c)
+    ybar_c = ybar_at + root * ybar_off
+    if alpha / sig <= lam or q and not (sig <= (m := mu_at + root * mu_off) * (1.0 - m)
+                                        and c * s_sq <= q * ybar_c * (1.0 - ybar_c)):
+        return 0.0 if c == 1.0 else -math.inf  # c = 1: the state, which may miss by an ulp
+    d = ybar_c - ybar_star
+    return (coef * x - rate * math.expm1(-x) - (half_omega and half_omega * (d * d - noise))
+            - lam * (abs(c * s_sq - s_sq_star) - gap))
+
+
+def _slice_step(p: tuple, width: float, rng) -> float:
+    """x = log c from a slice step at x = 0 under e^_ridge_log_ratio(x, p): stepping out by
+    width, at most _SLICE_STEPS widths, then shrinkage (Neal, Ann. Statist. 31, 2003)."""
+    log_y, left = math.log1p(-rng.random()), -width * rng.random()
+    right, j = left + width, int(_SLICE_STEPS * rng.random())  # j: steps out on the left
+    k = _SLICE_STEPS - 1 - j
+    while j > 0 and _ridge_log_ratio(left, p) >= log_y:
+        left, j = left - width, j - 1
+    while k > 0 and _ridge_log_ratio(right, p) >= log_y:
+        right, k = right + width, k - 1
+    for _ in range(_SLICE_SHRINKS):
+        x = left + (right - left) * rng.random()
+        if _ridge_log_ratio(x, p) >= log_y:
+            return x
+        left, right = (x, right) if x < 0.0 else (left, x)
+    raise SamplingError("the slice step on log c ran out of shrinkage proposals",
+                        {"left": left, "right": right, "log_y": log_y, "p": p})
 
 
 def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec,
@@ -334,13 +385,15 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     consts is sweep_constants(release_unit, prior, mode), which run_chain computes once.
     """
     n, lam, ybar_star, s_sq_star, constrained, eps1n, alpha, kappa0, mu0, nu0_sigma0_sq, \
-        power = consts or sweep_constants(release_unit, prior, mode)
+        power, width = consts or sweep_constants(release_unit, prior, mode)
     mu, sigma_sq, s_sq, omega_sq_inv = state.mu, state.sigma_sq, state.s_sq, state.omega_sq_inv
 
     # --- mu with ybar integrated out: its prior times N(ybar_star | mu, sigma_sq/n + omega_sq)
     n_prec, prec_y = n / sigma_sq, omega_sq_inv + n / sigma_sq  # prec_y: of ybar | mu
     prec = kappa0 / sigma_sq + omega_sq_inv * n_prec / prec_y
     mean = (kappa0 * mu0 / sigma_sq + ybar_star * omega_sq_inv * n_prec / prec_y) / prec
+    if not (math.isfinite(prec) and math.isfinite(mean)):
+        raise NumericalError("mu's precision or mean is not finite", asdict(state))
     scaled = (n - 1.0) / n * s_sq
     window = mean_window(min(scaled, 0.25)) if constrained else None  # of ybar
     if not constrained:
@@ -360,25 +413,27 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
 
     sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
 
-    # --- scale move: (sigma_sq, s_sq) times c, log c ~ N(0, h^2); under the conjugate
-    # prior also mu - mu0 and ybar - mu0 times sqrt(c), which keeps kappa0 (mu - mu0)^2 and
-    # n (ybar - mu)^2 over sigma_sq, adds a c to the Jacobian and moves N(ybar_star | ybar)
-    log_c = _RIDGE_SD * rng.standard_normal()
-    c = math.exp(log_c)
-    sig_new, s_new, mu_new, ybar_new, jac, noise = c * sigma_sq, c * s_sq, mu, ybar, 2.0, 0.0
+    # --- scale move: Metropolis under the flat prior, a slice step under the conjugate one
+    rate = (nu0_sigma0_sq + (0.0 if kappa0 else n * (ybar - mu) ** 2)) / (2.0 * sigma_sq)
+    noise = (ybar - ybar_star) * (ybar - ybar_star) if kappa0 else 0.0
+    if kappa0 and not rate + noise < math.inf:  # else the log density can be NaN or +inf
+        raise NumericalError("the scale move's log density is not finite",
+                             dict(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq))
+    mu_at, ybar_at = (mu0, mu0) if kappa0 else (mu, ybar)
+    p = (alpha, lam, ybar_star, s_sq_star, n / (n - 1.0) if constrained else 0.0, sigma_sq, s_sq,
+         mu_at, mu - mu_at, ybar_at, ybar - ybar_at, (2.0 if kappa0 else 1.0) - power, rate,
+         omega_sq_inv / 2.0 if kappa0 else 0.0, noise, abs(s_sq - s_sq_star))
     if kappa0:
+        x = _slice_step(p, width, rng)
+    else:
+        x = _RIDGE_SD * rng.standard_normal()
+        log_r = _ridge_log_ratio(x, p)
+        if not (log_r >= 0.0 or log_r > -math.inf and rng.random() < math.exp(log_r)):
+            x = 0.0
+    if (c := math.exp(x)) != 1.0:
         root = math.sqrt(c)
-        mu_new, ybar_new, jac = mu0 + root * (mu - mu0), mu0 + root * (ybar - mu0), 3.0
-        noise = omega_sq_inv / 2.0 * ((ybar_new - ybar_star) ** 2 - (ybar - ybar_star) ** 2)
-    if (n - 1.0) / (2.0 * sig_new) > lam and (not constrained or (
-            pair_feasible(mu_new, sig_new) and stats_feasible(ybar_new, s_new, n))):
-        rate = (nu0_sigma0_sq + (0.0 if kappa0 else n * (ybar - mu) ** 2)) / (2.0 * sigma_sq)
-        # prior and N(ybar | mu, sigma_sq/n): c^-power e^(-rate (1/c - 1)); gamma: c^-1;
-        # Laplace: e^(-lam (|c s_sq - s*| - |s_sq - s*|)); Jacobian: c^jac
-        log_r = ((jac - 1.0 - power) * log_c - rate * (1.0 / c - 1.0)
-                 - lam * (abs(s_new - s_sq_star) - abs(s_sq - s_sq_star)) - noise)
-        if log_r >= 0.0 or rng.random() < math.exp(log_r):
-            mu, sigma_sq, ybar, s_sq = mu_new, sig_new, ybar_new, s_new
+        mu, sigma_sq = mu_at + root * (mu - mu_at), c * sigma_sq
+        ybar, s_sq = ybar_at + root * (ybar - ybar_at), c * s_sq
 
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf
     s_sq = sample_tgm(alpha, (n - 1.0) / (2.0 * sigma_sq), lam, s_sq_star, upper, rng)

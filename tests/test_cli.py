@@ -432,6 +432,15 @@ MALFORMED = {
     "release --upper 1e300": (2, lambda w: _release_cmd(w("d.csv", DATA_LINES), upper="1e300")),
     **{f"infer --sampler {s} sigma_sq overflows on the bounds": (4, lambda w, s=s: _infer(
         w("r.json", OVERFLOWING), "--sampler", s)) for s in ("moment", "likelihood")},
+    # finite hyperparameters whose mu precision or sigma_sq rate overflow mid-chain
+    **{f"prior JSON kappa0 1e308{c}": (4, lambda w, c=c: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, "kappa0": 1e308}),
+        *c.split())) for c in ("", " --constrained")},
+    "prior JSON mu0 1e300": (4, lambda w: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, "mu0": 1e300}))),
+    "release JSON eps1 1e300": (4, lambda w: _infer(w("r.json", {**RELEASE, "eps1": 1e300}))),
+    "release JSON ybar_star 1e300": (4, lambda w: _infer(
+        w("r.json", {**RELEASE, "ybar_star": 1e300}))),
 }
 
 

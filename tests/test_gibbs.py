@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import dpgibbs.distributions as distributions
 import dpgibbs.gibbs as gibbs
 from dpgibbs.augmented import run_augmented_chain
 from dpgibbs.distributions import UniformBlock, sample_tgm
 from dpgibbs.errors import ConfigurationError, DpGibbsError
-from dpgibbs.feasible import mean_window, pair_feasible, stats_feasible
+from dpgibbs.feasible import mean_window, pair_feasible, snap_mean, stats_feasible
 from dpgibbs.gibbs import (
     ConstraintMode,
     GibbsState,
@@ -159,8 +160,10 @@ class TestGibbsStep:
         # gibbs_step's mu is the prior N(mu0, sigma_sq/kappa0) times
         # N(ybar_star | mu, sigma_sq/n + omega_sq), whatever the state's ybar.
         # Under the conjugate prior the later scale move also moves mu, so its
-        # step size is set to 0, which makes that move the identity.
+        # step sizes are set to 0, which makes that move the identity under
+        # both priors: the flat prior's Metropolis sd and the slice width.
         monkeypatch.setattr(gibbs, "_RIDGE_SD", 0.0)
+        monkeypatch.setattr(gibbs, "_SLICE_WIDTH", 0.0)
         rel = unit_release(n=40, ybar_star=0.43)
         state = GibbsState(mu=0.5, sigma_sq=0.04, ybar=0.61, s_sq=0.03, omega_sq_inv=50.0)
         rng = np.random.default_rng(3)
@@ -317,6 +320,68 @@ class TestConditionalEdges:
             if constrained:
                 assert pair_feasible(state.mu, state.sigma_sq)
                 assert stats_feasible(state.ybar, state.s_sq, n)
+
+
+class _CountedUniforms(UniformBlock):
+    """A UniformBlock that counts the uniforms read from it."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, seed):
+        super().__init__(np.random.default_rng(seed))
+        draw, self.count = self.random, 0
+
+        def random():
+            self.count += 1
+            return draw()
+
+        self.random = random
+
+
+# Uniforms one constrained sweep may read: mu block 2, ybar 1, the scale move's slice step
+# 3 + _SLICE_SHRINKS, the sigma_sq and TGM gammas 2 per tail proposal each, the TGM
+# component 1, the inverse Gaussian 2, plus one per zero uniform, which ndtri skips.
+SWEEP_UNIFORMS = 9 + gibbs._SLICE_SHRINKS + 4 * distributions._GAMMA_TAIL_BUDGET
+
+
+class TestConjugateScaleMove:
+    @given(st.integers(3, 1000), st.floats(0.01, 1.5), st.floats(-1.0, 2.0),
+           _log_uniform(1e-3, 1e3), st.floats(1e-6, 0.25), st.sampled_from([0, 1]),
+           st.integers(0, 3), st.floats(1e-6, 0.25), st.sampled_from([0, 1]),
+           _log_uniform(1e-2, 1e6), st.floats(-0.5, 1.5), st.floats(-0.2, 0.5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_constrained_sweep_from_snapped_edges(self, n, eps2_share, mu0, kappa0, v, mu_end,
+                                                  ulps, w, ybar_end, omega_sq_inv, ybar_star,
+                                                  s_sq_star, seed):
+        # mu snapped onto an end of its window for sigma_sq, ybar onto an end of its window
+        # for s_sq; sigma_sq at most a few ulps below the TGM cap (eps2 up to 1.5 times the
+        # 2(n-1)/n limit); mu0 inside and outside [0, 1].  One sweep keeps the state finite,
+        # below the cap and feasible, and reads a bounded number of uniforms.
+        eps2 = eps2_share * 2.0 * (n - 1.0) / n
+        lam = eps2 * n
+        sigma_sq = min(v, math.nextafter((n - 1.0) / (2.0 * lam), 0.0))
+        while (n - 1.0) / (2.0 * sigma_sq) <= lam:
+            sigma_sq = math.nextafter(sigma_sq, 0.0)
+        for _ in range(ulps):
+            sigma_sq = math.nextafter(sigma_sq, 0.0)
+        mu = snap_mean(mean_window(sigma_sq)[mu_end], sigma_sq, 1.0)
+        s_sq = n / (n - 1.0) * w
+        ybar = snap_mean(mean_window(min((n - 1.0) / n * s_sq, 0.25))[ybar_end], s_sq,
+                         n / (n - 1.0))
+        assert pair_feasible(mu, sigma_sq) and stats_feasible(ybar, s_sq, n)
+        rel = PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n,
+                             budget=Budget(1.0, eps2), bounds=UNIT)
+        prior = PriorSpec.conjugate(mu0=mu0, kappa0=kappa0, nu0=3.0, sigma0_sq=0.02)
+        rng = _CountedUniforms(seed)
+        state = gibbs_step(GibbsState(mu, sigma_sq, ybar, s_sq, omega_sq_inv), rel, prior,
+                           ConstraintMode.MOMENT_CONSTRAINED, rng)
+        assert all(map(math.isfinite, (state.mu, state.sigma_sq, state.ybar, state.s_sq,
+                                       state.omega_sq_inv)))
+        assert (n - 1.0) / (2.0 * state.sigma_sq) > lam
+        assert pair_feasible(state.mu, state.sigma_sq)
+        assert stats_feasible(state.ybar, state.s_sq, n)
+        assert rng.count <= SWEEP_UNIFORMS
 
 
 class TestExtremeRegimes:
@@ -518,17 +583,20 @@ class TestRunChain:
             assert abs(a.mean() - b.mean()) < 3 * se
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("mode, seed, floor", [(ConstraintMode.UNCONSTRAINED, 61, 0.120),
-                                                   (ConstraintMode.MOMENT_CONSTRAINED, 62, 0.105)])
-    def test_conjugate_lead_chain_mixes(self, mode, seed, floor):
-        # mu ESS per sweep of 20 000-sweep chains on the blood-lead release, seeds
-        # 100-129: 0.046-0.100 (unconstrained) and 0.053-0.082 (constrained) with a
-        # scale move that kept mu and ybar fixed, 0.140-0.211 and 0.129-0.173 with one
-        # that scales mu - mu0 and ybar - mu0 by sqrt(c).  Each floor lies halfway
-        # between the two ranges.
+    @pytest.mark.parametrize("mode, seed, mu_floor, sigma_sq_floor", [
+        (ConstraintMode.UNCONSTRAINED, 61, 0.299, 0.165),
+        (ConstraintMode.MOMENT_CONSTRAINED, 62, 0.253, 0.165)],
+        ids=["unconstrained", "constrained"])
+    def test_conjugate_lead_chain_mixes(self, mode, seed, mu_floor, sigma_sq_floor):
+        # ESS per sweep of 20 000-sweep chains on the blood-lead release, seeds 100-129,
+        # with a Metropolis scale move, log c ~ N(0, 2^2): mu 0.140-0.211 (unconstrained)
+        # and 0.118-0.181 (constrained), sigma_sq 0.080-0.105 and 0.077-0.107; with a slice
+        # step on log c: mu 0.387-0.483 and 0.326-0.397, sigma_sq 0.226-0.297 and
+        # 0.223-0.268.  Each floor lies halfway between the two ranges.
         draws = run_chain(LEAD_RELEASE, LEAD_PRIOR, mode,
                           SamplerConfig(iters=20_000, seed=seed, burn_in=0))
-        assert ess(draws.mu) / draws.mu.size >= floor
+        assert ess(draws.mu) / draws.mu.size >= mu_floor
+        assert ess(draws.sigma_sq) / draws.sigma_sq.size >= sigma_sq_floor
 
     @pytest.mark.slow
     def test_per_iteration_cost_independent_of_n(self):
