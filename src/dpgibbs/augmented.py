@@ -122,7 +122,7 @@ def run_augmented_chain(release: PrivateRelease, constrained: bool,
     prior on (mu, sigma_sq) by Z(mu, sigma)^n with Z = Phi((1 - mu) / sigma)
     - Phi(-mu / sigma).
     """
-    check_config(release.n, release.budget.eps2, prior, False)
+    check_config(release.n, release.budget, prior, False)
     release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)
 
     rng = np.random.default_rng(config.seed)

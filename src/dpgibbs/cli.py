@@ -25,7 +25,7 @@ from .errors import (ConfigurationError, DpGibbsError, NumericalError, SamplingE
 from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, run_chain
 from .regression import RegPriors, ingest_and_rescale, release_regression, \
     run_regression_chain
-from .release import FORMAT_VERSION, Bounds, Budget, PrivateRelease, release, summarize
+from .release import FORMAT_VERSION, Bounds, Budget, PrivateRelease, as_int, release, summarize
 from .summary import hpd_interval, kde_mode
 from .validation import run_validation
 
@@ -187,7 +187,8 @@ def cmd_regress(args) -> int:
     chain_seed = int(np.random.SeedSequence((args.seed, 1)).generate_state(1)[0])
     with _invalid(ConfigurationError, "bad --iters/--burn-in"):
         config = SamplerConfig(iters=args.iters, seed=chain_seed, burn_in=args.burn_in)
-    draws = run_regression_chain(rel, priors, args.constrained, config)
+    with np.errstate(over="ignore"):  # an overflow mid-chain raises NumericalError
+        draws = run_regression_chain(rel, priors, args.constrained, config)
     if any(draws.warnings.values()):
         print(f"warning: fallback counts {json.dumps(draws.warnings)}", file=sys.stderr)
     _write_text(args.out, _format_draws_csv({
@@ -198,8 +199,8 @@ def cmd_regress(args) -> int:
     return 0
 
 
-_SCENARIO_FIELDS = {"n": int, "eps1": float, "eps2": float, "truth_mu": float,
-                    "truth_sigma": float, "reps": int, "iters": int, "base_seed": int}
+_SCENARIO_FIELDS = {"n": as_int, "eps1": float, "eps2": float, "truth_mu": float,
+                    "truth_sigma": float, "reps": as_int, "iters": as_int, "base_seed": as_int}
 
 
 def _scenario(obj) -> harness.Scenario:

@@ -19,8 +19,9 @@ invariant.  One sweep, in this order:
   scale     group move (Liu & Sabatti, Biometrika 87, 2000): sigma_sq and s_sq
             times c along their ridge (Yu & Meng, JCGS 20, 2011), and under the
             conjugate prior, which ties mu - mu0 to sigma, also mu - mu0 and
-            ybar - mu0 times sqrt(c); Metropolis, log c ~ N(0, 2^2), under the
-            flat prior, a slice step on log c under the conjugate prior;
+            ybar - mu0 times sqrt(c); one slice step on log c (Neal, Ann. Statist.
+            31, 2003): one interval of width w = min(4, 8/(eps2 n s*)), 4 w under
+            the conjugate prior, placed at random around 0, then shrinkage;
   s_sq      TGM((n-1)/2, (n-1)/(2 sigma_sq), n eps2, s_sq_star), capped at
             n/(n-1) ybar (1 - ybar) if constrained;
   1/omega_sq inverse Gaussian with mean eps1 n / |ybar_star - ybar|.
@@ -53,13 +54,12 @@ from .distributions import (
 )
 from .errors import ConfigurationError, NumericalError, SamplingError
 from .feasible import mean_window, snap_mean
-from .release import Bounds, PrivateRelease
+from .release import Bounds, Budget, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
-_RIDGE_SD = 2.0  # sd h of log c in the flat prior's scale move; mixes within ~20% of the best h
-_SLICE_WIDTH = 4.0  # widest slice step on log c, about half of lead's plateau of log sigma_sq
-_SLICE_STEPS, _SLICE_SHRINKS = 8, 500  # at most m widths stepped out; shrinkage proposals
+_SLICE_WIDTH = 4.0  # widest slice interval on log c under the flat prior; 4 times it under nig
+_SLICE_SHRINKS = 500  # shrinkage proposals before the slice step gives up
 
 
 class ConstraintMode(Enum):
@@ -196,17 +196,21 @@ class PosteriorDraws:
         return self.mu.size
 
 
-def check_config(n: int, eps2: float, prior: PriorSpec, collapsed: bool,
+def check_config(n: int, budget: Budget, prior: PriorSpec, collapsed: bool,
                  force_sigma_constraint: bool = False):
     """Raise ConfigurationError for a run the model cannot support.
 
     The flat prior needs n >= 3 for a proper posterior.  The collapsed
-    sampler (collapsed=True) needs eps2 < 2(n-1)/n for its s_sq full
-    conditional, unless force_sigma_constraint imposes the cap
-    sigma_sq < (n-1)/(2 n eps2); the latent-value sampler has no such limit.
+    sampler (collapsed=True) needs (eps1 n)^2 > 0, the rate of 1/omega_sq,
+    and eps2 < 2(n-1)/n for its s_sq full conditional, unless
+    force_sigma_constraint imposes the cap sigma_sq < (n-1)/(2 n eps2); the
+    latent-value sampler has no such limit.
     """
+    eps1n, eps2 = budget.eps1 * n, budget.eps2
     if prior.kind == "flat" and n < 3:
         raise ConfigurationError("the flat prior needs n >= 3")
+    if collapsed and eps1n * eps1n == 0.0:
+        raise ConfigurationError(f"(eps1 n)^2 underflows to 0 at eps1 = {budget.eps1}, n = {n}")
     if collapsed and not (eps2 < 2.0 * (n - 1.0) / n or force_sigma_constraint):
         raise ConfigurationError(
             f"eps2 = {eps2} >= 2(n-1)/n = {2.0 * (n - 1.0) / n}: the bounded-data "
@@ -334,7 +338,8 @@ def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
     return (n, lam, release_unit.ybar_star, release_unit.s_sq_star,
             mode is ConstraintMode.MOMENT_CONSTRAINED, eps1n, (n - 1.0) / 2.0, prior.kappa0,
             prior.mu0, prior.nu0 * prior.sigma0_sq, prior.nu0 / 2.0 + 2.0,
-            min(_SLICE_WIDTH, 8.0 / (lam * clamped_release(release_unit)[1])))
+            (4.0 if prior.kappa0 else 1.0)
+            * min(_SLICE_WIDTH, 8.0 / (lam * clamped_release(release_unit)[1])))
 
 
 def _ridge_log_ratio(x: float, p: tuple) -> float:
@@ -360,15 +365,11 @@ def _ridge_log_ratio(x: float, p: tuple) -> float:
 
 
 def _slice_step(p: tuple, width: float, rng) -> float:
-    """x = log c from a slice step at x = 0 under e^_ridge_log_ratio(x, p): stepping out by
-    width, at most _SLICE_STEPS widths, then shrinkage (Neal, Ann. Statist. 31, 2003)."""
+    """x = log c from one slice step at x = 0 under e^_ridge_log_ratio(x, p): an interval
+    of the given width placed at random around 0, then shrinkage toward 0 (Neal, Ann.
+    Statist. 31, 2003, section 4, without stepping out)."""
     log_y, left = math.log1p(-rng.random()), -width * rng.random()
-    right, j = left + width, int(_SLICE_STEPS * rng.random())  # j: steps out on the left
-    k = _SLICE_STEPS - 1 - j
-    while j > 0 and _ridge_log_ratio(left, p) >= log_y:
-        left, j = left - width, j - 1
-    while k > 0 and _ridge_log_ratio(right, p) >= log_y:
-        right, k = right + width, k - 1
+    right = left + width
     for _ in range(_SLICE_SHRINKS):
         x = left + (right - left) * rng.random()
         if _ridge_log_ratio(x, p) >= log_y:
@@ -413,24 +414,17 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
 
     sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
 
-    # --- scale move: Metropolis under the flat prior, a slice step under the conjugate one
+    # --- scale move: one slice step on log c
     rate = (nu0_sigma0_sq + (0.0 if kappa0 else n * (ybar - mu) ** 2)) / (2.0 * sigma_sq)
     noise = (ybar - ybar_star) * (ybar - ybar_star) if kappa0 else 0.0
-    if kappa0 and not rate + noise < math.inf:  # else the log density can be NaN or +inf
+    if not rate + noise < math.inf:  # else the log density can be NaN or +inf
         raise NumericalError("the scale move's log density is not finite",
                              dict(mu=mu, sigma_sq=sigma_sq, ybar=ybar, s_sq=s_sq))
     mu_at, ybar_at = (mu0, mu0) if kappa0 else (mu, ybar)
     p = (alpha, lam, ybar_star, s_sq_star, n / (n - 1.0) if constrained else 0.0, sigma_sq, s_sq,
          mu_at, mu - mu_at, ybar_at, ybar - ybar_at, (2.0 if kappa0 else 1.0) - power, rate,
          omega_sq_inv / 2.0 if kappa0 else 0.0, noise, abs(s_sq - s_sq_star))
-    if kappa0:
-        x = _slice_step(p, width, rng)
-    else:
-        x = _RIDGE_SD * rng.standard_normal()
-        log_r = _ridge_log_ratio(x, p)
-        if not (log_r >= 0.0 or log_r > -math.inf and rng.random() < math.exp(log_r)):
-            x = 0.0
-    if (c := math.exp(x)) != 1.0:
+    if (c := math.exp(_slice_step(p, width, rng))) != 1.0:
         root = math.sqrt(c)
         mu, sigma_sq = mu_at + root * (mu - mu_at), c * sigma_sq
         ybar, s_sq = ybar_at + root * (ybar - ybar_at), c * s_sq
@@ -452,7 +446,7 @@ def run_chain(release: PrivateRelease, prior: PriorSpec, mode: ConstraintMode,
     scale; both are mapped to [0, 1] here and the draws stay on that
     scale.
     """
-    check_config(release.n, release.budget.eps2, prior, True, force_sigma_constraint)
+    check_config(release.n, release.budget, prior, True, force_sigma_constraint)
     release_unit, prior_unit = release.to_unit(), prior.to_unit(release.bounds)
 
     rng = UniformBlock(np.random.default_rng(config.seed))

@@ -57,10 +57,10 @@ class Scenario:
         if self.n < 2 or self.base_seed < 0:
             raise ConfigurationError("a scenario needs n >= 2 and base_seed >= 0")
         try:  # rejects the budget before any replication runs
-            Budget(self.eps1, self.eps2)
+            budget = Budget(self.eps1, self.eps2)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
-        check_config(self.n, self.eps2, self.prior, self.mode != "likelihood")
+        check_config(self.n, budget, self.prior, self.mode != "likelihood")
         if not (0.0 < self.truth_mu < 1.0 and 0.0 < self.truth_sigma < math.inf):
             raise ConfigurationError("need truth_mu in (0, 1) and finite truth_sigma > 0")
 

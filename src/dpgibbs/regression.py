@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .distributions import sample_inverse_gaussian, sample_laplace, sample_trunc_gamma
-from .errors import StuckChainError, ValidationError
+from .errors import NumericalError, StuckChainError, ValidationError
 from .feasible import RegTheta, regression_stats_feasible, regression_theta_feasible
 from .gibbs import SamplerConfig
 
@@ -63,8 +63,9 @@ class RegRelease:
     def __post_init__(self):
         if self.z.shape != (6,) or self.fourth_moments.shape != (5,):
             raise ValueError("RegRelease needs 6 statistics and 5 fourth moments")
-        if self.eps_per_query <= 0:
-            raise ValueError("eps_per_query must be positive")
+        eps = self.eps_per_query  # eps^2 is the rate of the noise scales
+        if not (eps > 0.0 and 0.0 < eps * eps < math.inf):
+            raise ValueError("eps_per_query and its square must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ def ingest_and_rescale(x_raw, y_raw) -> RegressionData:
 def release_regression(data: RegressionData, eps_per_query: float,
                        rng: Generator) -> RegRelease:
     """Laplace-noise each of the 11 unit-sensitivity queries independently."""
-    if not eps_per_query > 0:
-        raise ValueError("eps_per_query must be positive")
+    if not (eps_per_query > 0.0 and 0.0 < eps_per_query * eps_per_query < math.inf):
+        raise ValueError("eps_per_query and its square must be positive and finite")
     x, y = data.x, data.y
     n = data.n
     exact = np.array([
@@ -217,6 +218,9 @@ def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
     sigma[na:na + 2, p - 1] = cross
     sigma[p - 1, na:na + 2] = cross
     sigma[p - 1, p - 1] = 2.0 * sigma_sq ** 2 + 4.0 * sigma_sq * quad + xi_th_all
+    if not (np.isfinite(mu_t).all() and np.isfinite(sigma).all()):
+        raise NumericalError("the statistics' moment model is not finite",
+                             {"theta": theta.tolist(), "sigma_sq": sigma_sq})
     return mu_t, nearest_psd(sigma)
 
 
@@ -290,7 +294,12 @@ def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z
     model_prec = _spd_inverse(sigma_t)
     chol_prec = _cholesky_jittered(model_prec / n + np.diag(omega_inv))  # prec = L L'
     rhs = model_prec @ mu_t + omega_inv * z_active
-    return np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, rhs)), chol_prec
+    mean = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, rhs))
+    if not np.isfinite(mean).all():
+        raise NumericalError("the imputed statistics' mean is not finite",
+                             {"theta": theta.tolist(), "sigma_sq": sigma_sq,
+                              "omega_inv": omega_inv.tolist()})
+    return mean, chol_prec
 
 
 def _coefficient_conditional(stats, n, priors, constrained, warnings

@@ -62,6 +62,13 @@ class Bounds:
 UNIT = Bounds(0.0, 1.0)
 
 
+def as_int(value) -> int:
+    """An integer JSON field such as 43, 43.0 or "43"; ValueError for a bool or a fraction."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Budget:
     """Privacy budget split (eps1 for the mean, eps2 for the variance)."""
@@ -136,7 +143,7 @@ class PrivateRelease:
             return cls(
                 ybar_star=float(obj["ybar_star"]),
                 s_sq_star=float(obj["s_sq_star"]),
-                n=int(obj["n"]),
+                n=as_int(obj["n"]),
                 budget=Budget(float(obj["eps1"]), float(obj["eps2"])),
                 bounds=Bounds(float(obj["a"]), float(obj["b"])),
             )

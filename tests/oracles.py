@@ -402,18 +402,26 @@ def collapsed_joint_draws(size: int, n: int, eps2: float, prior, constrained: bo
                           rng) -> dict:
     """Independent draws of (mu, sigma_sq, ybar, s_sq) from the collapsed sampler's joint.
 
-    Rejection from the conjugate prior times the data model
-    ybar ~ N(mu, sigma_sq/n), s_sq ~ Gamma((n-1)/2, rate (n-1)/(2 sigma_sq)),
-    keeping draws with sigma_sq < (n-1)/(2 n eps2) and, in constrained
-    mode, a feasible population and sample pair.  prior is on [0, 1].
+    Rejection from the prior times the data model ybar ~ N(mu, sigma_sq/n),
+    s_sq ~ Gamma((n-1)/2, rate (n-1)/(2 sigma_sq)), keeping draws with
+    sigma_sq < (n-1)/(2 n eps2) and, in constrained mode, a feasible
+    population and sample pair.  prior is on [0, 1].  The flat prior is
+    proper only in constrained mode, where (mu, sigma_sq) is drawn uniformly
+    from [0, 1] x [0, 1/4] before the feasibility check.
     """
+    flat = prior.kind == "flat"
+    if flat and not constrained:
+        raise ValueError("the flat prior has no joint to draw from unless constrained")
     cap = (n - 1.0) / (2.0 * n * eps2)
     keep = {k: [] for k in ("mu", "sigma_sq", "ybar", "s_sq")}
     got = 0
     while got < size:
         m = 4 * (size - got) + 1000
-        sigma_sq = 1.0 / rng.gamma(prior.nu0 / 2.0, 2.0 / (prior.nu0 * prior.sigma0_sq), m)
-        mu = prior.mu0 + np.sqrt(sigma_sq / prior.kappa0) * rng.standard_normal(m)
+        if flat:
+            mu, sigma_sq = rng.random(m), 0.25 * rng.random(m)
+        else:
+            sigma_sq = 1.0 / rng.gamma(prior.nu0 / 2.0, 2.0 / (prior.nu0 * prior.sigma0_sq), m)
+            mu = prior.mu0 + np.sqrt(sigma_sq / prior.kappa0) * rng.standard_normal(m)
         ybar = mu + np.sqrt(sigma_sq / n) * rng.standard_normal(m)
         s_sq = rng.gamma((n - 1.0) / 2.0, 2.0 * sigma_sq / (n - 1.0))
         ok = sigma_sq < cap

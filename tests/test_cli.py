@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,11 @@ def _grid(write, body):
     return ["simulate", "--grid", write("grid.json", body)]
 
 
+def _demo_regress(*extra):
+    demo = str(resources.files("dpgibbs").joinpath("data/demo_regression.csv"))
+    return ["regress", "--data", demo, "--iters", "50", "--seed", "1", *extra]
+
+
 def _regress(write, **prior):
     return ["regress", "--data", write("xy.csv", "x,y\n0,1\n1,3\n2,2\n3,5\n"),
             "--eps-per-query", "1", "--iters", "50", "--seed", "1",
@@ -441,6 +447,22 @@ MALFORMED = {
     "release JSON eps1 1e300": (4, lambda w: _infer(w("r.json", {**RELEASE, "eps1": 1e300}))),
     "release JSON ybar_star 1e300": (4, lambda w: _infer(
         w("r.json", {**RELEASE, "ybar_star": 1e300}))),
+    # (eps1 n)^2 underflows to 0: the collapsed sampler's 1/omega_sq has no rate
+    **{f"release JSON eps1 1e-300{p}{c}": (2, lambda w, p=p, c=c: _infer(
+        w("r.json", {**RELEASE, "eps1": 1e-300}),
+        *(["--prior", w("p.json", NIG_PRIOR)] if p else []), *c.split()))
+       for p in ("", " nig") for c in ("", " --constrained")},
+    "grid eps1 1e-300": (2, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "eps1": 1e-300}]})),
+    **{f"regress --eps-per-query {e}": (2, lambda w, e=e: _demo_regress("--eps-per-query", e))
+       for e in ("1e-300", "1e300")},
+    "regress --eps-per-query 1e150": (4, lambda w: _demo_regress("--eps-per-query", "1e150")),
+    "regress prior mu0 1e300": (4, lambda w: _demo_regress(
+        "--eps-per-query", "1", "--prior", w("p.json", {**REG_PRIOR, "mu0": [1e300, 0.0]}))),
+    # integer fields are not truncated
+    "release JSON n = 43.7": (3, lambda w: _infer(w("r.json", {**RELEASE, "n": 43.7}))),
+    **{f"grid {k} = {v}": (3, lambda w, k=k, v=v: _grid(w, {"scenarios": [{**SCENARIO, k: v}]}))
+       for k, v in (("n", 30.9), ("reps", 1.7), ("iters", 300.2), ("base_seed", 1.5),
+                    ("reps", True))},
 }
 
 

@@ -160,9 +160,8 @@ class TestGibbsStep:
         # gibbs_step's mu is the prior N(mu0, sigma_sq/kappa0) times
         # N(ybar_star | mu, sigma_sq/n + omega_sq), whatever the state's ybar.
         # Under the conjugate prior the later scale move also moves mu, so its
-        # step sizes are set to 0, which makes that move the identity under
-        # both priors: the flat prior's Metropolis sd and the slice width.
-        monkeypatch.setattr(gibbs, "_RIDGE_SD", 0.0)
+        # slice width is set to 0, which makes that move the identity under
+        # both priors.
         monkeypatch.setattr(gibbs, "_SLICE_WIDTH", 0.0)
         rel = unit_release(n=40, ybar_star=0.43)
         state = GibbsState(mu=0.5, sigma_sq=0.04, ybar=0.61, s_sq=0.03, omega_sq_inv=50.0)
@@ -339,7 +338,7 @@ class _CountedUniforms(UniformBlock):
 
 
 # Uniforms one constrained sweep may read: mu block 2, ybar 1, the scale move's slice step
-# 3 + _SLICE_SHRINKS, the sigma_sq and TGM gammas 2 per tail proposal each, the TGM
+# 2 + _SLICE_SHRINKS, the sigma_sq and TGM gammas 2 per tail proposal each, the TGM
 # component 1, the inverse Gaussian 2, plus one per zero uniform, which ndtri skips.
 SWEEP_UNIFORMS = 9 + gibbs._SLICE_SHRINKS + 4 * distributions._GAMMA_TAIL_BUDGET
 
@@ -472,9 +471,10 @@ class TestRunChain:
         draws = run_augmented_chain(rel, True, SamplerConfig(iters=50, seed=0))
         assert np.isfinite(draws.sigma_sq).all()
         with pytest.raises(ConfigurationError, match="eps2"):
-            gibbs.check_config(20, 2.0, PriorSpec.flat(), True)
-        gibbs.check_config(20, 2.0, PriorSpec.flat(), True, force_sigma_constraint=True)
-        gibbs.check_config(20, 2.0, PriorSpec.flat(), False)
+            gibbs.check_config(20, Budget(1.0, 2.0), PriorSpec.flat(), True)
+        gibbs.check_config(20, Budget(1.0, 2.0), PriorSpec.flat(), True,
+                           force_sigma_constraint=True)
+        gibbs.check_config(20, Budget(1.0, 2.0), PriorSpec.flat(), False)
 
     def test_burn_in_and_thin_lengths(self):
         rel = unit_release()
@@ -632,6 +632,11 @@ GEWEKE_Z = float(ndtri(1.0 - 0.01 / (2 * 8 * len(GEWEKE_CASES))))
 # acceptance most.  One variant, its own 1% family-wise level over 8 comparisons.
 GEWEKE_WEAK_PRIOR = PriorSpec.conjugate(mu0=0.2, kappa0=0.02, nu0=4.0, sigma0_sq=0.05)
 GEWEKE_WEAK_Z = float(ndtri(1.0 - 0.01 / (2 * 8)))
+# The flat prior is proper on the constrained set only.  It takes the scale move's other
+# branch (mu and ybar stay put); two variants, their own 1% family-wise level over 16
+# comparisons.
+GEWEKE_FLAT_CASES = [(5, 35), (20, 36)]
+GEWEKE_FLAT_Z = float(ndtri(1.0 - 0.01 / (2 * 8 * len(GEWEKE_FLAT_CASES))))
 
 
 def successive_conditional_z(prior, n, mode, seed, steps):
@@ -659,8 +664,9 @@ def successive_conditional_z(prior, n, mode, seed, steps):
 class TestJointDistribution:
     """gibbs_step leaves the collapsed sampler's joint invariant.
 
-    Geweke's successive-conditional test under a proper conjugate prior
-    on [0, 1] at eps 1/1: alternating release regeneration and sweeps
+    Geweke's successive-conditional test under a proper conjugate prior,
+    and under the flat prior in constrained mode, where it is proper, on
+    [0, 1] at eps 1/1: alternating release regeneration and sweeps
     must reproduce the first and second moments of mu, log sigma_sq,
     ybar and s_sq under independent rejection draws from the joint.
     """
@@ -677,6 +683,14 @@ class TestJointDistribution:
                                      400_000)
         for key, value in z.items():
             assert abs(value) < GEWEKE_WEAK_Z, (key, value)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, seed", GEWEKE_FLAT_CASES)
+    def test_successive_conditional_under_the_flat_prior(self, n, seed):
+        z = successive_conditional_z(PriorSpec.flat(), n, ConstraintMode.MOMENT_CONSTRAINED, seed,
+                                     150_000)
+        for key, value in z.items():
+            assert abs(value) < GEWEKE_FLAT_Z, (key, value)
 
 
 @pytest.fixture(scope="module")

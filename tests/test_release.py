@@ -147,3 +147,16 @@ class TestJson:
             PrivateRelease.from_json("{\"ybar_star\": 1.0}")
         with pytest.raises(ValidationError):
             PrivateRelease.from_json("not json")
+
+    @pytest.mark.parametrize("n, ok", [(43, True), (43.0, True), ("43", True), (43.7, False),
+                                       (True, False), ("3.5", False), (float("inf"), False)])
+    def test_n_is_integral_or_rejected(self, n, ok):
+        import json
+
+        text = json.dumps({"ybar_star": 0.1, "s_sq_star": 0.2, "n": n, "eps1": 1.0,
+                           "eps2": 1.0, "a": 0.0, "b": 1.0})
+        if ok:
+            assert PrivateRelease.from_json(text).n == 43
+        else:
+            with pytest.raises(ValidationError):
+                PrivateRelease.from_json(text)
