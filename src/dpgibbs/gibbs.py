@@ -52,7 +52,7 @@ from .distributions import (
     sample_trunc_gamma,
     sample_trunc_normal,
 )
-from .errors import ConfigurationError, NumericalError, SamplingError
+from .errors import ConfigurationError, NumericalError, SamplingError, ValidationError
 from .feasible import mean_window, snap_mean
 from .release import Bounds, Budget, PrivateRelease
 
@@ -125,7 +125,10 @@ class PriorSpec:
     def to_unit(self, bounds: Bounds) -> "PriorSpec":
         """Rescale the location/scale hyperparameters onto [0, 1]."""
         mu0, sigma0_sq = bounds.to_unit(self.mu0, self.sigma0_sq)
-        return replace(self, mu0=mu0, sigma0_sq=sigma0_sq)
+        try:
+            return replace(self, mu0=mu0, sigma0_sq=sigma0_sq)
+        except ValueError as exc:  # a finite mu0 or sigma0_sq that over- or underflows
+            raise ValidationError(f"prior on the [0, 1] scale of {bounds}: {exc}") from exc
 
 
 @dataclass(slots=True)

@@ -118,6 +118,8 @@ class PrivateRelease:
     def to_unit(self) -> "PrivateRelease":
         """Map the release onto the [0, 1] analysis scale."""
         ybar_star, s_sq_star = self.bounds.to_unit(self.ybar_star, self.s_sq_star)
+        if not (math.isfinite(ybar_star) and math.isfinite(s_sq_star)):
+            raise ValidationError(f"noisy statistics overflow on [0, 1] from {self.bounds}")
         return PrivateRelease(ybar_star=ybar_star, s_sq_star=s_sq_star, n=self.n,
                               budget=self.budget, bounds=UNIT)
 

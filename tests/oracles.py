@@ -86,7 +86,7 @@ def tgm_weights(alpha: float, beta: float, lam: float, tau: float) -> tuple[floa
     _check_tgm(alpha, beta, lam, tau)
     if tau <= 0:
         raise ValueError("tgm_weights requires tau > 0; the tau <= 0 case is a plain gamma")
-    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, math.inf)
+    log_w1, log_w2 = _tgm_log_weights(alpha, beta, lam, tau, math.inf)[:2]
     if log_w1 == -math.inf and log_w2 == -math.inf:
         raise SamplingError("TGM weights underflowed on both components",
                             {"params": (alpha, beta, lam, tau)})
@@ -188,7 +188,7 @@ def likelihood_s2_star(s2_star: float, sigma_sq: float, n: int, eps2: float) -> 
         )
     if s2_star <= 0:
         return 0.5 * lam * math.exp(lam * s2_star + a * math.log(big_b / (big_b + lam)))
-    log_w1, log_w2 = _tgm_log_weights(a, big_b, lam, s2_star, math.inf)
+    log_w1, log_w2 = _tgm_log_weights(a, big_b, lam, s2_star, math.inf)[:2]
     log_f = (
         math.log(lam / 2.0)
         + a * math.log(big_b)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -164,6 +165,17 @@ class TestRegress:
         diagnostics = json.loads(diagnostics)
         assert diagnostics["attempts"] == 20
         assert sum(diagnostics["fails"].values()) == 20
+
+    @pytest.mark.parametrize("mode", [[], ["--constrained"]], ids=["unconstrained", "constrained"])
+    def test_eps_per_query_1e150_gives_finite_draws(self, tmp_path, mode):
+        """The per-query noise scales' inverse-Gaussian draws stay finite (they overflowed
+        to inf, and the run exited 4)."""
+        out = tmp_path / "draws.csv"
+        code, err = run_quietly(_demo_regress("--eps-per-query", "1e150", *mode,
+                                              "--out", str(out)))
+        assert code == 0 and not err
+        rows = out.read_text().splitlines()[2:]
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(","))
 
     def test_malformed_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -455,9 +467,16 @@ MALFORMED = {
     "grid eps1 1e-300": (2, lambda w: _grid(w, {"scenarios": [{**SCENARIO, "eps1": 1e-300}]})),
     **{f"regress --eps-per-query {e}": (2, lambda w, e=e: _demo_regress("--eps-per-query", e))
        for e in ("1e-300", "1e300")},
-    "regress --eps-per-query 1e150": (4, lambda w: _demo_regress("--eps-per-query", "1e150")),
     "regress prior mu0 1e300": (4, lambda w: _demo_regress(
         "--eps-per-query", "1", "--prior", w("p.json", {**REG_PRIOR, "mu0": [1e300, 0.0]}))),
+    # finite statistics and hyperparameters that overflow or underflow on [0, 1]
+    "release JSON s_sq_star overflows on [0, 1]": (3, lambda w: _infer(
+        w("r.json", {**RELEASE, "ybar_star": 0.0, "s_sq_star": 1.0, "a": -1e-158, "b": 0.0}))),
+    "prior JSON mu0 overflows on [0, 1]": (3, lambda w: _infer(
+        w("r.json", {**RELEASE, "b": 0.5}), "--prior",
+        w("p.json", {**NIG_PRIOR, "mu0": 1.7976931348623157e308}))),
+    "prior JSON sigma0_sq underflows on [0, 1]": (3, lambda w: _infer(
+        w("r.json", RELEASE), "--prior", w("p.json", {**NIG_PRIOR, "sigma0_sq": 5e-324}))),
     # integer fields are not truncated
     "release JSON n = 43.7": (3, lambda w: _infer(w("r.json", {**RELEASE, "n": 43.7}))),
     **{f"grid {k} = {v}": (3, lambda w, k=k, v=v: _grid(w, {"scenarios": [{**SCENARIO, k: v}]}))
@@ -577,3 +596,54 @@ def test_fuzzed_input_never_tracebacks(command, fuzz_dir, data):
                             + ["--out", str(fuzz_dir / "out")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+# -- finite extremes: every float field of the release and of a conjugate prior --
+
+_FINITE_EXTREMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+              st.floats(-308.0, 308.0)),
+    st.floats(-3.0, 3.0))
+
+
+def _field(value):
+    """`value`, or in one draw of four a finite extreme."""
+    return st.integers(0, 3).flatmap(lambda k: _FINITE_EXTREMES if k == 0 else st.just(value))
+
+
+@st.composite
+def _extreme_infer(draw):
+    sampler = draw(st.sampled_from(["moment", "likelihood"]))
+    # the latent-value sampler holds n doubles, so its n stays small
+    n = draw(st.sampled_from([3, 4, 43, 10 ** 6, 10 ** 7] if sampler == "moment"
+                             else [3, 4, 43, 10 ** 4]))
+    limit = 2.0 * (n - 1.0) / n
+    release = {"format_version": 1, "n": n,
+               **{k: draw(_field(RELEASE[k]))
+                  for k in ("ybar_star", "s_sq_star", "eps1", "a", "b")},
+               "eps2": draw(st.one_of(_field(RELEASE["eps2"]), st.sampled_from(
+                   [limit, math.nextafter(limit, 0.0), limit * (1.0 - 1e-9)])))}
+    prior = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {"kind": st.just("nig"), **{k: _field(NIG_PRIOR[k]) for k in NIG_PRIOR if k != "kind"}})))
+    mode = draw(st.sampled_from([[], ["--constrained"]]))
+    return release, prior, ["--sampler", sampler, *mode]
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_extreme_infer())
+def test_infer_at_finite_extremes(fuzz_dir, case):
+    """Finite extremes in the release and prior end in exit 0, 2, 3 or 4, and a run that
+    exits 0 writes only finite draws."""
+    release, prior, extra = case
+    write, out = _writer(fuzz_dir), fuzz_dir / "draws.csv"
+    out.unlink(missing_ok=True)
+    prior_args = ["--prior", write("p.json", prior)] if prior else []
+    code, err = run_quietly(_infer(write("r.json", release), *prior_args, *extra)
+                            + ["--out", str(out)])
+    assert code in (0, 2, 3, 4), err
+    if code == 0:
+        rows = out.read_text().splitlines()[2:]
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(","))

@@ -43,6 +43,10 @@ LARGE_N_TGMS = [((n - 1.0) / 2.0, (n - 1.0) / (2.0 * s2), eps2 * n, tau)
                                          (1e8, 0.1, 0.04, 0.03992)]]
 
 
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
 def _underflow_edge(f, a, zero, positive):
     """The float nearest `positive` where f(a, x) is 0, bisecting from f(a, zero) = 0."""
     while True:
@@ -174,7 +178,7 @@ class TestTgmWeights:
 
     @pytest.mark.parametrize("params", LARGE_N_TGMS, ids=["n1e6", "n1e7", "n1e8"])
     def test_large_n_weights_match_quadrature(self, params):
-        log_w1, log_w2 = _tgm_log_weights(*params, math.inf)
+        log_w1, log_w2 = _tgm_log_weights(*params, math.inf)[:2]
         assert sc.expit(log_w1 - log_w2) == pytest.approx(_tgm_first_share(*params), abs=1e-6)
 
 
@@ -280,22 +284,52 @@ class TestSampleTruncGamma:
         (1.0, 40.0, 45.0, 204), (400.0, 0.0, 250.0, 205), (400.0, 200.0, 250.0, 206),
         (1e4, 1.1e4, math.inf, 207), (1e4, 0.0, 9.1e3, 208), (2.0, 0.0, 1e-7, 209)])
     def test_tail_windows_match_the_exact_cdf(self, shape, lo, hi, seed):
-        """Far in a tail the envelope is nearly exact; on (0, 1e-7] the acceptance step decides."""
+        """Tail windows, down to (0, 1e-7] where the density rises as x, against quadrature."""
         rng = np.random.default_rng(seed)
         x = np.array([sample_trunc_gamma(shape, 1.0, lo, hi, rng) for _ in range(5000)])
         assert np.all((x > lo) & (x <= hi))
         assert stats.kstest(x, lambda z: _trunc_gamma_cdf(z, shape, lo, hi)).pvalue > 1e-3
 
+    @pytest.mark.parametrize("shape, rate, lo, hi, seed", [
+        (5e6, 1.0, 0.0, 4.5e6, 221), (5e6, 1.0, 5.6e6, math.inf, 222),
+        *[(alpha, rate, lo, hi, 223 + 2 * i + j)
+          for i, (alpha, beta, lam, tau) in enumerate(LARGE_N_TGMS)
+          for j, (rate, lo, hi) in enumerate([(beta - lam, 0.0, tau),
+                                              (beta + lam, tau, math.inf)])]],
+        ids=["5e6 left", "5e6 right", *[f"{n} {side}" for n in ("n1e6", "n1e7", "n1e8")
+                                       for side in ("first", "second")]])
+    def test_windows_beyond_exp_underflow_match_the_log_cdf(self, shape, rate, lo, hi, seed):
+        """Windows whose log CDF at the ends is -1e4 or lower, where scipy's CDF is 0:
+        Gamma(5e6) far below and above its mean, and the large-n TGMs' components."""
+        rng = np.random.default_rng(seed)
+        x = np.array([sample_trunc_gamma(shape, rate, lo, hi, rng) for _ in range(3000)])
+        assert np.all((x > lo) & (x <= hi))
+        cdf = _log_tail_cdf(shape, rate * lo, rate * hi)
+        assert stats.kstest(x, lambda z: cdf(rate * z)).pvalue > 1e-3
+
     @pytest.mark.parametrize("stub", [lambda u: SimpleNamespace(random=u), _block_reading],
                              ids=["random only", "UniformBlock"])
-    @pytest.mark.parametrize("shape, lo, hi, expected", [
-        (2.0, 60.0, math.inf, 60.0 - math.log1p(-0.3) / (1.0 - 1.0 / 60.0)),
-        (400.0, 0.0, 250.0, 250.0 + math.log1p(-0.3) / (399.0 / 250.0 - 1.0))],
-        ids=["right", "left"])
-    def test_tails_read_only_uniforms(self, stub, shape, lo, hi, expected):
-        """Both tails take a proposal and an acceptance uniform, which may be 0.0."""
-        rng = stub(iter([0.3, 0.0]).__next__)
-        assert sample_trunc_gamma(shape, 1.0, lo, hi, rng) == pytest.approx(expected, rel=1e-15)
+    @pytest.mark.parametrize("shape, rate, lo, hi", [
+        (2.0, 1.0, 60.0, math.inf), (400.0, 1.0, 0.0, 250.0), (0.5, 1e3, 0.04, 0.05),
+        (5e6, 1.0, 0.0, 4.5e6), (5e6, 1.0, 5.6e6, math.inf)],
+        ids=["right", "left", "right finite", "5e6 left", "5e6 right"])
+    def test_tails_read_only_uniforms(self, stub, shape, rate, lo, hi):
+        """A tail draw reads one uniform u, 0.0 and 1 - 2^-53 included (a second read
+        would raise), and gives the x at which the log tail CDF is
+        t = log((1 - u) F(near) + u F(far)), to the accuracy of log F (mpmath)."""
+        right = lo > shape / rate
+        near, far = (lo, hi) if right else (hi, lo)
+
+        def tail(z):
+            args = (z * rate, mpmath.inf) if right else (0, z * rate)
+            return mpmath.gammainc(shape, *args, regularized=True)
+
+        for u in (0.0, 0.3, 1.0 - 2.0 ** -53):
+            x = sample_trunc_gamma(shape, rate, lo, hi, stub(iter([u]).__next__))
+            assert lo < x <= hi
+            with mpmath.workdps(40):
+                t = mpmath.log((1 - u) * tail(near) + u * tail(far))
+                assert float(mpmath.log(tail(x))) == pytest.approx(float(t), rel=1e-12)
 
 
 class TestSampleTgm:
@@ -440,6 +474,19 @@ def _trunc_gamma_cdf(z, shape, lo, hi):
     return out
 
 
+def _log_tail_cdf(shape, lo, hi):
+    """CDF of Gamma(shape, 1) on (lo, hi] from the log incomplete gammas, in the tail
+    coordinate that keeps precision: Q for a window above the mean, P below it."""
+    upper = lo > shape
+    log_f = _log_reg_inc_gamma_upper if upper else _log_reg_inc_gamma_lower
+    near, far = (lo, hi) if upper else (hi, lo)
+
+    def drop(z):  # (F(near) - F(z)) / F(near), from the logs
+        return -math.expm1(log_f(shape, z) - log_f(shape, near))
+
+    return np.vectorize(lambda z: drop(z) / drop(far) if upper else 1.0 - drop(z) / drop(far))
+
+
 def _outcome(fn):
     """fn()'s floats as bytes, or the class and message of the error it raises."""
     try:
@@ -516,7 +563,7 @@ class TestUniformBlock:
             assert math.isfinite(x) and x > 0.0
             assert 0.3 <= sample_trunc_normal(0.0, 1.0, 0.3, 0.9, block) <= 0.9
             assert 7.0 <= sample_trunc_normal(0.0, 1.0, 7.0, 8.0, block) <= 8.0
-            # the gamma tail sampler
+            # a gamma tail window
             assert 60.0 < sample_trunc_gamma(2.0, 1.0, 60.0, math.inf, block)
             assert sample_inverse_gaussian(1.5, 2.0, block) > 0.0
 
@@ -545,6 +592,32 @@ class TestSampleInverseGaussian:
         with pytest.raises(ValueError):
             sample_inverse_gaussian(1.0, 0.0, rng)
 
+    @given(_decades(-300.0, 300.0), _decades(-300.0, 300.0), st.integers(0, 2 ** 32 - 1))
+    @example(mean=1e162, shape=1e300, seed=0)  # mean * mean overflowed
+    @example(mean=1e162, shape=1e-12, seed=0)  # t * t overflowed, so x1 was 0
+    @example(mean=1e-200, shape=1e-200, seed=0)  # mean * mean underflowed
+    @settings(max_examples=300, deadline=None)
+    def test_finite_positive_and_unchanged_where_it_was(self, mean, shape, seed):
+        """Draws at finite extremes are finite and positive, and bit-equal to the
+        earlier formula's wherever that gave a finite positive draw."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            x = sample_inverse_gaussian(mean, shape, rng)
+            before = _inverse_gaussian_before(mean, shape, ref)
+            assert 0.0 < x < math.inf
+            if 0.0 < before < math.inf:
+                assert x == before
+
+
+def _inverse_gaussian_before(mean, shape, rng):
+    """sample_inverse_gaussian as first written, whose roots overflow at finite arguments."""
+    nu = rng.standard_normal()
+    t = (mean / shape) * nu * nu
+    x1 = mean / (1.0 + 0.5 * t + math.sqrt(t + 0.25 * t * t))
+    if rng.random() <= mean / (mean + x1):
+        return x1
+    return mean * mean / x1
+
 
 class TestSampleLaplace:
     def test_median_and_variance(self, rng):
@@ -564,10 +637,6 @@ class TestSampleLaplace:
     def test_rejects_bad_scale(self, rng):
         with pytest.raises(ValueError):
             sample_laplace(0.0, -1.0, rng)
-
-
-def _decades(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 _SHAPES = st.one_of(_decades(-3.0, 6.0), st.floats(1e-3, 1e6))
@@ -632,3 +701,50 @@ class TestCythonSpecialMatchesUfunc:
     def test_double_specialization(self, name, x):
         """distributions binds the double form of each fused function once."""
         assert getattr(distributions, "_" + name)(x).hex() == float(getattr(sc, name)(x)).hex()
+
+
+def _counting(seed):
+    """A stand-in generator whose random() counts its reads."""
+    gen, rng = np.random.default_rng(seed), SimpleNamespace(reads=0)
+
+    def random():
+        rng.reads += 1
+        return gen.random()
+
+    rng.random = random
+    return rng
+
+
+class TestUniformAccounting:
+    """A truncated gamma draw reads one uniform and a TGM draw at most two, in bulk and
+    tail windows alike, with shape, rate and window ends drawn as the kernels digest
+    draws them; a window refused before its draw reads none."""
+
+    @given(_decades(-3.0, 6.0), _decades(-3.0, 6.0),
+           st.sampled_from([0.0, 1e-300, 1e-6, 0.5, 0.99, 3.0, 50.0]),
+           st.sampled_from([1e-300, 1e-9, 1e-3, 0.5, 2.0, math.inf]), st.floats(0.0, 0.999),
+           st.sampled_from([-2.0, 1e-300, 1e-8, 0.3, 1.0, 4.0, 1e3]),
+           st.sampled_from([1e-300, 0.5, 2.0, 1e3, math.inf]), st.integers(0, 2 ** 32 - 1))
+    @example(shape=400.0, rate=1.0, lo_share=0.0, width_share=0.625, lam_share=0.5,
+             tau_share=1e3, upper_share=1e3, seed=1)  # a left tail window
+    @example(shape=2.0, rate=1.0, lo_share=50.0, width_share=math.inf, lam_share=0.5,
+             tau_share=1e-300, upper_share=math.inf, seed=2)  # a right tail window
+    @settings(max_examples=300, deadline=None)
+    def test_reads_per_draw(self, shape, rate, lo_share, width_share, lam_share, tau_share,
+                            upper_share, seed):
+        mean = shape / rate
+        lo = mean * lo_share
+        hi = lo + mean * width_share
+        rng = _counting(seed)
+        if lo < hi:
+            try:
+                x = sample_trunc_gamma(shape, rate, lo, hi, rng)
+                assert lo < x <= hi and rng.reads == 1
+            except SamplingError:
+                assert rng.reads == 0
+        rng.reads = 0
+        try:
+            sample_tgm(shape, rate, rate * lam_share, mean * tau_share, mean * upper_share, rng)
+        except SamplingError:
+            pass
+        assert rng.reads <= 2
