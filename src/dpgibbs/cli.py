@@ -187,7 +187,8 @@ def cmd_regress(args) -> int:
     chain_seed = int(np.random.SeedSequence((args.seed, 1)).generate_state(1)[0])
     with _invalid(ConfigurationError, "bad --iters/--burn-in"):
         config = SamplerConfig(iters=args.iters, seed=chain_seed, burn_in=args.burn_in)
-    with np.errstate(over="ignore"):  # an overflow mid-chain raises NumericalError
+    # an overflow mid-chain, and the inf - inf or 0 * inf after it, raise NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
         draws = run_regression_chain(rel, priors, args.constrained, config)
     if any(draws.warnings.values()):
         print(f"warning: fallback counts {json.dumps(draws.warnings)}", file=sys.stderr)

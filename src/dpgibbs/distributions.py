@@ -113,14 +113,18 @@ def _tgm_log_weights(alpha: float, beta: float, lam: float, tau: float,
     The second component's mass is restricted to (tau, upper].
     """
     a, lo_rate, hi_rate = alpha, beta - lam, beta + lam
-    p_tau, q_tau, q_up = (cs.gammainc(a, lo_rate * tau), cs.gammaincc(a, hi_rate * tau),
-                          cs.gammaincc(a, hi_rate * upper))
+    p_tau, q_tau = cs.gammainc(a, lo_rate * tau), cs.gammaincc(a, hi_rate * tau)
     log_w1 = (-lam * tau + _log_reg_inc_gamma_lower(a, lo_rate * tau, p_tau) + cs.gammaln(a)
               - a * math.log(lo_rate))
     lq_tau = _log_reg_inc_gamma_upper(a, hi_rate * tau, q_tau)
-    lq_up = _log_reg_inc_gamma_upper(a, hi_rate * upper, q_up)
-    # log(e^lq_tau - e^lq_up) without cancellation
-    log_mass2 = -math.inf if lq_up >= lq_tau else lq_tau + math.log1p(-math.exp(lq_up - lq_tau))
+    if upper == math.inf:  # Q = 0 at the cap: the same bits, as log1p(-0.0) is -0.0
+        q_up, log_mass2 = 0.0, lq_tau
+    else:
+        q_up = cs.gammaincc(a, hi_rate * upper)
+        lq_up = _log_reg_inc_gamma_upper(a, hi_rate * upper, q_up)
+        # log(e^lq_tau - e^lq_up) without cancellation
+        log_mass2 = (-math.inf if lq_up >= lq_tau
+                     else lq_tau + math.log1p(-math.exp(lq_up - lq_tau)))
     log_w2 = lam * tau + log_mass2 + cs.gammaln(a) - a * math.log(hi_rate)
     return log_w1, log_w2, (p_tau, q_tau, q_up)
 
@@ -225,7 +229,7 @@ def sample_tgm(alpha: float, beta: float, lam: float, tau: float, upper: float,
     else:
         rate = beta + lam
         window = (alpha, rate, tau, upper, cs.gammainc(alpha, rate * tau), q_tau,
-                  cs.gammainc(alpha, rate * upper), q_up)
+                  1.0 if upper == math.inf else cs.gammainc(alpha, rate * upper), q_up)
     return _draw_trunc_gamma(window, rng)
 
 

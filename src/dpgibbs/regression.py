@@ -7,12 +7,13 @@ that the central-limit model of the statistics needs.  All variables
 live on [0, 1] after min-max rescaling, so every query has sensitivity 1.
 
 Each sweep imputes the sufficient statistics from a Gaussian
-central-limit model combined with the noisy observations, then performs
-the conjugate normal-inverse-gamma regression update from the imputed
-statistics, then refreshes the per-query noise scales.  Constrained mode
-rejects and resamples the statistic vector until it satisfies the
-bounded-data inequalities and [X Y]'[X Y] is PSD, and rejects the
-coefficient draw until the feasible-region predicate holds.
+central-limit model combined with the noisy observations (its covariance
+projected onto the PSD cone and inverted in one eigendecomposition), then
+performs the conjugate normal-inverse-gamma regression update from the
+imputed statistics, then refreshes the per-query noise scales.
+Constrained mode rejects and resamples the statistic vector until it
+satisfies the bounded-data inequalities and [X Y]'[X Y] is PSD, and
+rejects the coefficient draw until the feasible-region predicate holds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .distributions import sample_inverse_gaussian, sample_laplace, sample_trunc_gamma
 from .errors import NumericalError, StuckChainError, ValidationError
@@ -184,11 +186,12 @@ def moment_model_from_release(release: RegRelease) -> RegMomentModel:
 
 def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
                  n: int, constrained: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation mean and PSD-projected covariance of the statistics.
+    """Per-observation mean and covariance of the statistics.
 
     The mean of the final entry is sigma_sq + theta' eta theta; the
     caller scales everything by n.  Constrained mode drops the known
-    count statistic, shrinking the dimension from 6 to 5.
+    count statistic, shrinking the dimension from 6 to 5.  The covariance
+    need not be PSD; _spd_inverse projects it as it inverts it.
     """
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
@@ -217,18 +220,20 @@ def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
     cross = 2.0 * sigma_sq * eta_theta + xi_th_jkl
     sigma[na:na + 2, p - 1] = cross
     sigma[p - 1, na:na + 2] = cross
-    sigma[p - 1, p - 1] = 2.0 * sigma_sq ** 2 + 4.0 * sigma_sq * quad + xi_th_all
+    # sigma_sq * sigma_sq, not ** 2, which raises OverflowError rather than giving inf
+    sigma[p - 1, p - 1] = 2.0 * sigma_sq * sigma_sq + 4.0 * sigma_sq * quad + xi_th_all
     if not (np.isfinite(mu_t).all() and np.isfinite(sigma).all()):
         raise NumericalError("the statistics' moment model is not finite",
                              {"theta": theta.tolist(), "sigma_sq": sigma_sq})
-    return mu_t, nearest_psd(sigma)
+    return mu_t, sigma
 
 
 def _spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse through the eigendecomposition with a 1e-10 relative floor.
 
-    Keeps PSD-projected (hence possibly singular) covariances invertible
-    without shifting well-conditioned ones measurably.
+    The floor also clips negative eigenvalues, as nearest_psd would, so an
+    indefinite m is projected onto the PSD cone and inverted in one eigh;
+    singular ones stay invertible, well-conditioned ones are not shifted.
     """
     sym = 0.5 * (m + m.T)
     vals, vecs = np.linalg.eigh(sym)
@@ -242,12 +247,25 @@ def _cholesky_jittered(m: np.ndarray) -> np.ndarray:
     scale = max(float(np.trace(m)) / m.shape[0], 1e-30)
     jitter = 0.0
     for _ in range(14):
-        try:
-            return np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, _CHOL_JITTER * scale)
+        chol, info = dpotrf(m + jitter * np.eye(m.shape[0]) if jitter else m, lower=1)
+        if info == 0:
+            return chol
+        jitter = max(jitter * 10.0, _CHOL_JITTER * scale)
     raise StuckChainError("precision Cholesky failed even with jitter",
                           {"trace": float(np.trace(m))})
+
+
+def _inverse_cholesky_2x2(m: np.ndarray) -> np.ndarray | None:
+    """L with m^-1 = L L', lower triangular, for a symmetric 2x2 m; None unless m is PD.
+
+    With m = [[a, b], [b, d]], m is PD iff d > 0 and r = a - b (b / d) > 0, and then
+    L = [[1, 0], [-b / d, sqrt(r / d)]] / sqrt(r); as b (b / d) < a, no step overflows.
+    """
+    (a, b), (_, d) = m.tolist()
+    if not (d > 0.0 and (r := a - b * (c := b / d)) > 0.0):
+        return None
+    l00 = 1.0 / math.sqrt(r)
+    return np.array([[l00, 0.0], [-c * l00, 1.0 / math.sqrt(d)]])
 
 
 def _zt_z(stats: np.ndarray, n: int) -> np.ndarray:
@@ -258,15 +276,17 @@ def _zt_z(stats: np.ndarray, n: int) -> np.ndarray:
 
 
 def _conjugate_update(xtx: np.ndarray, xty: np.ndarray, yty: float, n: int, priors: RegPriors
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """(mu_n, lambda_n, lambda_n^-1, a_n, b_n) of the normal-inverse-gamma posterior."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
+    """(mu_n, lambda_n, chol(lambda_n^-1), a_n, b_n) of the normal-inverse-gamma posterior;
+    a lambda_n that is not PD has no factor (None) and is inverted by _spd_inverse."""
     lambda_n = xtx + priors.lambda0
-    cov_n = _spd_inverse(lambda_n)
+    chol_n = _inverse_cholesky_2x2(lambda_n)
+    cov_n = _spd_inverse(lambda_n) if chol_n is None else chol_n @ chol_n.T
     mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
     a_n = priors.a0 + n / 2.0
     b_n = priors.b0 + (yty + priors.mu0 @ priors.lambda0 @ priors.mu0
                        - mu_n @ lambda_n @ mu_n) / 2.0
-    return mu_n, lambda_n, cov_n, a_n, float(b_n)
+    return mu_n, lambda_n, chol_n, a_n, float(b_n)
 
 
 def _first_passing(draw, checks: dict, message: str, diagnostics):
@@ -293,8 +313,7 @@ def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z
     mu_t, sigma_t = moment_model(theta, sigma_sq, model, n, constrained)
     model_prec = _spd_inverse(sigma_t)
     chol_prec = _cholesky_jittered(model_prec / n + np.diag(omega_inv))  # prec = L L'
-    rhs = model_prec @ mu_t + omega_inv * z_active
-    mean = np.linalg.solve(chol_prec.T, np.linalg.solve(chol_prec, rhs))
+    mean = dpotrs(chol_prec, model_prec @ mu_t + omega_inv * z_active, lower=1)[0]
     if not np.isfinite(mean).all():
         raise NumericalError("the imputed statistics' mean is not finite",
                              {"theta": theta.tolist(), "sigma_sq": sigma_sq,
@@ -314,17 +333,20 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
     if not constrained:
         b = nearest_psd(b)
     xty = b[:2, 2]
-    mu_n, lambda_n, cov_n, a_n, b_n = _conjugate_update(b[:2, :2], xty, float(b[2, 2]), n,
-                                                        priors)
-    if np.linalg.eigvalsh(lambda_n).min() <= 0:
+    mu_n, lambda_n, chol_n, a_n, b_n = _conjugate_update(b[:2, :2], xty, float(b[2, 2]), n,
+                                                         priors)
+    if chol_n is None:
         lambda_n = nearest_psd(lambda_n) + _CHOL_JITTER * np.eye(2)
         warnings["lambda_psd_projected"] += 1
         cov_n = _spd_inverse(lambda_n)
         mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
+        chol_n = _cholesky_jittered(cov_n)
+    if not (math.isfinite(b_n) and np.isfinite(mu_n).all()):
+        raise NumericalError("the coefficient posterior is not finite", {"b_n": b_n})
     if b_n <= 0.0:
         b_n = 1e-12
         warnings["b_n_clamped"] += 1
-    return mu_n, _cholesky_jittered(cov_n), a_n, b_n
+    return mu_n, chol_n, a_n, b_n
 
 
 def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bool,
@@ -367,7 +389,7 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
         mu_3, chol_prec = _statistics_conditional(theta, sigma_sq, model, n, constrained,
                                                   omega_inv, z_active)
         stats = _first_passing(
-            lambda: mu_3 + np.linalg.solve(chol_prec.T, rng.standard_normal(p)),
+            lambda: mu_3 + dtrtrs(chol_prec, rng.standard_normal(p), lower=1, trans=1)[0],
             stats_checks, "statistic imputation stuck on the {worst} constraint",
             lambda _: {"iteration": t})
 
@@ -376,6 +398,8 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
 
         def draw_coefficients():
             s2 = 1.0 / sample_trunc_gamma(a_n, b_n, precision_lo, math.inf, rng)
+            if not 0.0 < s2 < math.inf:
+                raise NumericalError("the sigma_sq draw is 0 or inf", {"a_n": a_n, "b_n": b_n})
             return s2, mu_n + math.sqrt(s2) * (chol_theta @ rng.standard_normal(2))
 
         sigma_sq, theta = _first_passing(

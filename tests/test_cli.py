@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpgibbs.harness as harness
@@ -643,6 +643,46 @@ def test_infer_at_finite_extremes(fuzz_dir, case):
     prior_args = ["--prior", write("p.json", prior)] if prior else []
     code, err = run_quietly(_infer(write("r.json", release), *prior_args, *extra)
                             + ["--out", str(out)])
+    assert code in (0, 2, 3, 4), err
+    if code == 0:
+        rows = out.read_text().splitlines()[2:]
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(","))
+
+
+# -- finite extremes: every float field of a regression prior, and the per-query budget --
+
+@st.composite
+def _extreme_regress(draw):
+    off_diagonal = draw(_field(0.0))  # mirrored, as lambda0 must be symmetric
+    prior = {"mu0": [draw(_field(v)) for v in REG_PRIOR["mu0"]],
+             "lambda0": [[draw(_field(0.25)), off_diagonal], [off_diagonal, draw(_field(0.25))]],
+             "a0": draw(_field(REG_PRIOR["a0"])), "b0": draw(_field(REG_PRIOR["b0"]))}
+    # constrained chains on the demo data complete at eps 10 per query
+    return prior, draw(_field(10.0)), draw(st.sampled_from([[], ["--constrained"]]))
+
+
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.slow
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_extreme_regress())
+# these raised ValueError or OverflowError: lambda_n overflowed as it was symmetrized,
+# sigma_sq ** 2 overflowed, and 1 / (a precision draw of inf) gave sigma_sq = 0
+@example(({**REG_PRIOR, "lambda0": [[_MAX, 0.0], [0.0, 0.25]]}, 10.0, []))
+@example(({**REG_PRIOR, "b0": _MAX}, 10.0, []))
+@example(({**REG_PRIOR, "mu0": [0.0, 0.0], "a0": _MAX}, 10.0, []))
+def test_regress_at_finite_extremes(fuzz_dir, case):
+    """Finite extremes in the regression prior and --eps-per-query end in exit 0, 2, 3 or 4,
+    and a run that exits 0 writes only finite draws.  A rejection cap of 1 000 makes a stuck
+    constrained chain exit 4 at once rather than after 10**6 attempts."""
+    prior, eps, mode = case
+    write, out = _writer(fuzz_dir), fuzz_dir / "draws.csv"
+    out.unlink(missing_ok=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_REJECTION_CAP", 1000)
+        code, err = run_quietly(_demo_regress("--eps-per-query", repr(eps), *mode, "--prior",
+                                              write("p.json", prior), "--out", str(out)))
     assert code in (0, 2, 3, 4), err
     if code == 0:
         rows = out.read_text().splitlines()[2:]

@@ -210,11 +210,12 @@ class TestConjugateUpdate:
         xtx = np.array([[46.0, 20.0], [20.0, 12.0]])
         xty = np.array([22.0, 11.0])
         yty = 14.0
-        mu_n, lambda_n, cov_n, a_n, b_n = _conjugate_update(xtx, xty, yty, 46, priors)
+        mu_n, lambda_n, chol_n, a_n, b_n = _conjugate_update(xtx, xty, yty, 46, priors)
         lam_expected = xtx + priors.lambda0
         mu_expected = np.linalg.solve(lam_expected, priors.lambda0 @ priors.mu0 + xty)
         np.testing.assert_allclose(lambda_n, lam_expected)
-        np.testing.assert_allclose(cov_n, np.linalg.inv(lam_expected), rtol=1e-9)
+        np.testing.assert_allclose(chol_n, np.linalg.cholesky(np.linalg.inv(lam_expected)),
+                                   rtol=1e-9)
         np.testing.assert_allclose(mu_n, mu_expected, rtol=1e-9)
         assert a_n == pytest.approx(priors.a0 + 23.0)
         assert b_n == pytest.approx(
@@ -315,6 +316,53 @@ class TestRegressionChain:
         assert diag["iteration"] == 0
         assert len(diag["mu_n"]) == 2 and 0.0 < diag["sigma_sq"] <= 0.25
         assert diag["attempts"] == 50 and diag["fails"] == {"theta": 50}
+
+    def test_totality_chain_feasibility_calls_are_pinned(self, monkeypatch):
+        # the statistics' rejection loop draws the same candidates as the eigh / LU
+        # implementation it replaced: rounding moved, no accept or reject flipped
+        calls = []
+        monkeypatch.setattr(reg, "regression_stats_feasible",
+                            lambda *s: calls.append(s) or regression_stats_feasible(*s))
+        rel = release_regression(demo_data(), 0.1, np.random.default_rng(51))
+        run_regression_chain(rel, RegPriors.default(), True,
+                             SamplerConfig(iters=3000, seed=7, burn_in=0))
+        assert len(calls) == 11_924
+
+    # rows 0, 99 and 199 of (theta0, theta1, sigma_sq, statistics) as the eigh / LU
+    # implementation drew them from release_regression(demo, eps, rng 0), chain seed 3
+    PINNED_DRAWS = {
+        (10.0, True): [
+            [0.14747551673614168, 0.7527313029115983, 0.019595955196359024,
+             21.70334095650556, 13.729250833738135, 24.09791523965606,
+             13.844722132705751, 14.739505923889547],
+            [0.3078010815113212, 0.47593994740268725, 0.019405229527895276,
+             21.339344594872465, 14.073634660767777, 23.943137612772475,
+             13.564731009903396, 14.802338408757981],
+            [0.21531715465611184, 0.6473828888008061, 0.0352250094653653,
+             21.354728191487833, 14.19203482943281, 23.988617249289398,
+             13.595796753023345, 15.08073232867571]],
+        (1.0, False): [
+            [0.44770940146253557, 0.20755637444317637, 0.012871249805070518,
+             46.51711185756915, 19.63935235507857, 15.850932998178948,
+             25.386370380531538, 12.537057596850447, 14.247086692346045],
+            [0.6377597117001513, -0.1171987364163167, 0.03078586751268962,
+             45.65507499379655, 22.799913007540468, 16.182468143520087,
+             26.917699718445384, 12.653884278733466, 16.991687516092863],
+            [0.604439040623078, -0.054713643591827496, 0.018521475742902777,
+             46.26879757351991, 20.446569134165625, 13.73454405494688,
+             27.487335811219754, 12.003470504762968, 17.233723561841536]],
+    }
+
+    @pytest.mark.parametrize("eps, constrained", sorted(PINNED_DRAWS),
+                             ids=["unconstrained-eps1", "constrained-eps10"])
+    def test_well_conditioned_chain_draws_are_pinned(self, eps, constrained):
+        # the same normals go through the same transforms, so only rounding may move
+        rel = release_regression(demo_data(), eps, np.random.default_rng(0))
+        d = run_regression_chain(rel, RegPriors.default(), constrained,
+                                 SamplerConfig(iters=200, seed=3, burn_in=0))
+        rows = np.column_stack([d.theta0, d.theta1, d.sigma_sq, d.stats])
+        np.testing.assert_allclose(rows[[0, 99, 199]], self.PINNED_DRAWS[eps, constrained],
+                                   rtol=1e-10, atol=1e-10)
 
     def test_release_shape_validation(self):
         with pytest.raises(ValueError):
