@@ -14,8 +14,9 @@ draws mu, sigma_sq, the n proposals as one block and n acceptance
 uniforms, in that order, then scans the latents once in Python floats.
 
 The (mu, sigma_sq) conditionals are gibbs.draw_mu and gibbs.draw_sigma_sq,
-without the collapsed sampler's TGM floor and cap on sigma_sq; this
-module owns only the latent-value moves.
+without the collapsed sampler's TGM floor and cap on sigma_sq; draw_mu
+truncates mu to its window through the collapsed sampler's one
+window-truncated mean draw.  This module owns only the latent-value moves.
 """
 
 from __future__ import annotations

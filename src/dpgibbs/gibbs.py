@@ -30,13 +30,16 @@ Per-sweep cost does not depend on n; run_chain feeds every draw from one
 UniformBlock per chain.  This module owns the mu and sigma_sq conditionals
 (draw_mu, draw_sigma_sq), which the latent-value sampler in augmented.py
 shares; only the collapsed sampler adds the TGM floor and cap on sigma_sq.
-Feasibility windows come from feasible.py, variate kernels from
-distributions.py.  SamplerConfig.record is the one chain loop.
+Every Gaussian mean drawn inside a feasibility window (the blocked mu
+proposal, draw_mu, ybar | mu) is one _draw_mean.  Windows come from
+feasible.py, variate kernels from distributions.py.  SamplerConfig.record
+is the one chain loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -60,6 +63,7 @@ _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
 _SLICE_WIDTH = 4.0  # widest slice interval on log c under the flat prior; 4 times it under nig
 _SLICE_SHRINKS = 500  # shrinkage proposals before the slice step gives up
+_BYTES_PER_LATENT = 120  # peak bytes per latent of a latent-value chain (tracemalloc)
 
 
 class ConstraintMode(Enum):
@@ -199,6 +203,14 @@ class PosteriorDraws:
         return self.mu.size
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def check_config(n: int, budget: Budget, prior: PriorSpec, collapsed: bool,
                  force_sigma_constraint: bool = False):
     """Raise ConfigurationError for a run the model cannot support.
@@ -207,11 +219,17 @@ def check_config(n: int, budget: Budget, prior: PriorSpec, collapsed: bool,
     sampler (collapsed=True) needs (eps1 n)^2 > 0, the rate of 1/omega_sq,
     and eps2 < 2(n-1)/n for its s_sq full conditional, unless
     force_sigma_constraint imposes the cap sigma_sq < (n-1)/(2 n eps2); the
-    latent-value sampler has no such limit.
+    latent-value sampler has no such limit, but holds about 120 bytes per
+    latent at its peak, so it refuses an n whose latents would not fit in
+    physical memory.
     """
     eps1n, eps2 = budget.eps1 * n, budget.eps2
     if prior.kind == "flat" and n < 3:
         raise ConfigurationError("the flat prior needs n >= 3")
+    if not collapsed and n * _BYTES_PER_LATENT > (memory := _physical_memory()):
+        raise ConfigurationError(
+            f"n = {n} latent values need about {n * _BYTES_PER_LATENT:.3g} bytes, more than "
+            f"the {memory:.3g} bytes of physical memory")
     if collapsed and eps1n * eps1n == 0.0:
         raise ConfigurationError(f"(eps1 n)^2 underflows to 0 at eps1 = {budget.eps1}, n = {n}")
     if collapsed and not (eps2 < 2.0 * (n - 1.0) / n or force_sigma_constraint):
@@ -250,23 +268,31 @@ def init_state(release_unit: PrivateRelease) -> GibbsState:
     )
 
 
+def _draw_mean(mean: float, sd: float, window: tuple[float, float] | None, v: float,
+               scale: float, rng) -> float:
+    """mean + sd N, or, inside a mean_window, N(mean, sd^2) truncated to it and snapped by
+    snap_mean(., v, scale); a single-point window is returned without a draw."""
+    if window is None:
+        return mean + sd * rng.standard_normal()
+    lo, hi = window
+    if lo == hi:
+        return lo
+    return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), v, scale)
+
+
 def draw_mu(ybar: float, sigma_sq: float, n: int, prior: PriorSpec,
             constrained: bool, rng: Generator) -> float:
     """mu | ybar, sigma_sq: normal, truncated to mean_window(sigma_sq) if constrained.
 
     The normal is N(ybar + kappa0 (mu0 - ybar)/(n + kappa0), sigma_sq/(n + kappa0)),
     which is N(ybar, sigma_sq/n) under the flat prior (kappa0 = 0).  At
-    sigma_sq >= 1/4 the window is the single point 1/2, which is returned
-    without consuming a draw.
+    sigma_sq >= 1/4 the window is mean_window(1/4), the single point 1/2,
+    which is returned without consuming a draw.
     """
     mean = ybar + prior.kappa0 * (prior.mu0 - ybar) / (n + prior.kappa0)
     sd = math.sqrt(sigma_sq / (n + prior.kappa0))
-    if not constrained:
-        return mean + sd * rng.standard_normal()
-    if sigma_sq >= 0.25:
-        return 0.5
-    lo, hi = mean_window(sigma_sq)
-    return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), sigma_sq, 1.0)
+    window = mean_window(min(sigma_sq, 0.25)) if constrained else None
+    return _draw_mean(mean, sd, window, sigma_sq, 1.0, rng)
 
 
 def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
@@ -304,24 +330,6 @@ def draw_sigma_sq(mu: float, ybar: float, s_sq: float, n: int, prior: PriorSpec,
         while (n - 1.0) / (2.0 * sigma_sq) <= tgm_lam:
             sigma_sq = math.nextafter(sigma_sq, 0.0)
     return sigma_sq
-
-
-def draw_ybar(mu: float, sigma_sq: float, s_sq: float, omega_sq_inv: float, prec: float,
-              ybar_star: float, n: int, window: tuple[float, float] | None,
-              rng: Generator) -> float:
-    """ybar | rest: normal with precision prec = omega_sq_inv + n/sigma_sq.
-
-    window is mean_window(min((n-1)/n s_sq, 1/4)) if constrained, else None; a
-    single-point window, at (n-1)/n s_sq >= 1/4, is returned without a draw.
-    """
-    mean = (ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec
-    sd = math.sqrt(1.0 / prec)
-    if window is None:
-        return mean + sd * rng.standard_normal()
-    lo, hi = window
-    if lo == hi:
-        return lo
-    return snap_mean(sample_trunc_normal(mean, sd, lo, hi, rng), s_sq, n / (n - 1.0))
 
 
 def _log_mass(mean: float, sd: float, lo: float, hi: float) -> float:
@@ -398,22 +406,21 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     mean = (kappa0 * mu0 / sigma_sq + ybar_star * omega_sq_inv * n_prec / prec_y) / prec
     if not (math.isfinite(prec) and math.isfinite(mean)):
         raise NumericalError("mu's precision or mean is not finite", asdict(state))
-    scaled = (n - 1.0) / n * s_sq
-    window = mean_window(min(scaled, 0.25)) if constrained else None  # of ybar
+    window = mean_window(min((n - 1.0) / n * s_sq, 0.25)) if constrained else None  # of ybar
     if not constrained:
         mu = mean + rng.standard_normal() / math.sqrt(prec)
-    elif sigma_sq >= 0.25 or scaled >= 0.25:
+    elif sigma_sq >= 0.25 or window[0] == window[1]:  # mu or ybar is pinned at 1/2
         mu = draw_mu(state.ybar, sigma_sq, n, prior, True, rng)
     else:
         # Independence Metropolis; the ratio is P(ybar in its window | mu) at prop over mu.
-        lo, hi = mean_window(sigma_sq)
-        prop = snap_mean(sample_trunc_normal(mean, prec ** -0.5, lo, hi, rng), sigma_sq, 1.0)
+        prop = _draw_mean(mean, prec ** -0.5, mean_window(sigma_sq), sigma_sq, 1.0, rng)
         sd_y = math.sqrt(1.0 / prec_y)
         log_r = (_log_mass((ybar_star * omega_sq_inv + n_prec * prop) / prec_y, sd_y, *window)
                  - _log_mass((ybar_star * omega_sq_inv + n_prec * mu) / prec_y, sd_y, *window))
         if log_r >= 0.0 or rng.random() < math.exp(log_r):
             mu = prop
-    ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, prec_y, ybar_star, n, window, rng)
+    ybar = _draw_mean((ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec_y,
+                      math.sqrt(1.0 / prec_y), window, s_sq, n / (n - 1.0), rng)
 
     sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, lam, rng)
 

@@ -275,20 +275,6 @@ def _zt_z(stats: np.ndarray, n: int) -> np.ndarray:
     return stats[_ZT_Z_LAYOUT]
 
 
-def _conjugate_update(xtx: np.ndarray, xty: np.ndarray, yty: float, n: int, priors: RegPriors
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
-    """(mu_n, lambda_n, chol(lambda_n^-1), a_n, b_n) of the normal-inverse-gamma posterior;
-    a lambda_n that is not PD has no factor (None) and is inverted by _spd_inverse."""
-    lambda_n = xtx + priors.lambda0
-    chol_n = _inverse_cholesky_2x2(lambda_n)
-    cov_n = _spd_inverse(lambda_n) if chol_n is None else chol_n @ chol_n.T
-    mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
-    a_n = priors.a0 + n / 2.0
-    b_n = priors.b0 + (yty + priors.mu0 @ priors.lambda0 @ priors.mu0
-                       - mu_n @ lambda_n @ mu_n) / 2.0
-    return mu_n, lambda_n, chol_n, a_n, float(b_n)
-
-
 def _first_passing(draw, checks: dict, message: str, diagnostics):
     """The first draw() that passes every check, run in order.
 
@@ -323,30 +309,36 @@ def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z
 
 def _coefficient_conditional(stats, n, priors, constrained, warnings
                              ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """mu_n, the Cholesky factor of lambda_n^-1, a_n and b_n from the imputed statistics.
+    """(mu_n, chol(lambda_n^-1), a_n, b_n) of the normal-inverse-gamma posterior of
+    (theta, sigma_sq) given the imputed statistics.
 
     Unconstrained statistics need not form a PSD [X Y]'[X Y], so they are
-    projected first.  A non-PD lambda_n is projected and b_n <= 0 is
-    clamped; each fallback is counted in warnings.
+    projected first.  A lambda_n = X'X + lambda0 that is not PD is
+    projected, nearest_psd(lambda_n) + 1e-10 I, and mu_n and b_n come from
+    that projection; b_n <= 0 is clamped.  Each fallback is counted in
+    warnings.
     """
     b = _zt_z(stats, n)
     if not constrained:
         b = nearest_psd(b)
-    xty = b[:2, 2]
-    mu_n, lambda_n, chol_n, a_n, b_n = _conjugate_update(b[:2, :2], xty, float(b[2, 2]), n,
-                                                         priors)
+    lambda_n = b[:2, :2] + priors.lambda0
+    chol_n = _inverse_cholesky_2x2(lambda_n)
     if chol_n is None:
         lambda_n = nearest_psd(lambda_n) + _CHOL_JITTER * np.eye(2)
         warnings["lambda_psd_projected"] += 1
         cov_n = _spd_inverse(lambda_n)
-        mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + xty)
         chol_n = _cholesky_jittered(cov_n)
+    else:
+        cov_n = chol_n @ chol_n.T
+    mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + b[:2, 2])
+    b_n = float(priors.b0 + (float(b[2, 2]) + priors.mu0 @ priors.lambda0 @ priors.mu0
+                             - mu_n @ lambda_n @ mu_n) / 2.0)
     if not (math.isfinite(b_n) and np.isfinite(mu_n).all()):
         raise NumericalError("the coefficient posterior is not finite", {"b_n": b_n})
     if b_n <= 0.0:
         b_n = 1e-12
         warnings["b_n_clamped"] += 1
-    return mu_n, chol_n, a_n, b_n
+    return mu_n, chol_n, priors.a0 + n / 2.0, b_n
 
 
 def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bool,

@@ -46,9 +46,9 @@ from dpgibbs.gibbs import (
     _ABS_DIFF_FLOOR,
     ConstraintMode,
     GibbsState,
+    _draw_mean,
     draw_mu,
     draw_sigma_sq,
-    draw_ybar,
 )
 from dpgibbs.release import UNIT, Budget, PrivateRelease
 from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
@@ -473,8 +473,9 @@ def gibbs_step_reference(state: GibbsState, release_unit, prior, mode: Constrain
     mu = draw_mu(state.ybar, state.sigma_sq, n, prior, constrained, rng)
     sigma_sq = draw_sigma_sq(mu, state.ybar, state.s_sq, n, prior, constrained, lam, rng)
     window = mean_window(min((n - 1.0) / n * state.s_sq, 0.25)) if constrained else None
-    ybar = draw_ybar(mu, sigma_sq, state.s_sq, state.omega_sq_inv,
-                     state.omega_sq_inv + n / sigma_sq, ybar_star, n, window, rng)
+    prec = state.omega_sq_inv + n / sigma_sq
+    ybar = _draw_mean((ybar_star * state.omega_sq_inv + n * mu / sigma_sq) / prec,
+                      math.sqrt(1.0 / prec), window, state.s_sq, n / (n - 1.0), rng)
 
     # --- s_sq ---
     upper = n / (n - 1.0) * ybar * (1.0 - ybar) if constrained else math.inf

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpgibbs.augmented as augmented
 import dpgibbs.harness as harness
 import dpgibbs.regression as regression
 import dpgibbs.validation as validation
 from dpgibbs.cli import _scenario, main
 from dpgibbs.errors import SamplingError
+from dpgibbs.release import Bounds, Budget, PrivateRelease
 
 DATA_LINES = "value\n" + "\n".join(
     f"{v:.4f}" for v in np.clip(np.random.default_rng(0).normal(32, 17, 43), 0.5, 99.5)
@@ -32,6 +34,10 @@ def lead_csv(tmp_path):
 
 def run_cli(args):
     return main(list(args))
+
+
+def _no_latents(*args):
+    raise AssertionError("drew a latent data vector")
 
 
 class TestRelease:
@@ -93,6 +99,19 @@ class TestInfer:
                         "likelihood", "--constrained", "--iters", "300",
                         "--seed", "5", "--out", str(out)])
         assert code == 0
+
+    def test_latent_values_beyond_memory_exit_2(self, tmp_path, monkeypatch):
+        # n = 10**12 latents need about 1.2e14 bytes: refused before any is drawn
+        monkeypatch.setattr(augmented, "sample_trunc_normal_block", _no_latents)
+        rel = tmp_path / "huge.json"
+        rel.write_text(PrivateRelease(ybar_star=34.3, s_sq_star=2224.0, n=10 ** 12,
+                                      budget=Budget(0.25, 0.25),
+                                      bounds=Bounds(0.0, 100.0)).to_json())
+        infer = ["infer", "--release", str(rel), "--iters", "100", "--seed", "1",
+                 "--out", str(tmp_path / "d.csv")]
+        code, err = run_quietly(infer + ["--sampler", "likelihood"])
+        assert code == 2 and "physical memory" in err
+        assert run_cli(infer) == 0  # the collapsed sampler holds no latents
 
     def test_nig_prior_file(self, release_json, tmp_path):
         prior = tmp_path / "prior.json"
@@ -287,6 +306,12 @@ class TestSimulate:
         grid = self.grid_file(tmp_path, [self.scenario_dict(
             n=10, eps2=1.9, mode="likelihood", reps=2, iters=50)])
         assert run_cli(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")]) == 0
+
+    def test_likelihood_scenario_beyond_memory_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "sample_trunc_normal_block", _no_latents)
+        grid = self.grid_file(tmp_path, [self.scenario_dict(n=10 ** 12, mode="likelihood")])
+        code, err = run_quietly(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")])
+        assert code == 2 and "physical memory" in err
 
     def test_fig2_preset_loads(self):
         from importlib import resources

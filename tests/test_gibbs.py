@@ -22,7 +22,6 @@ from dpgibbs.gibbs import (
     SamplerConfig,
     draw_mu,
     draw_sigma_sq,
-    draw_ybar,
     gibbs_step,
     init_state,
     predictive_draws,
@@ -197,6 +196,16 @@ class TestGibbsStep:
             assert stats_feasible(state.ybar, state.s_sq, rel.n)
 
 
+class _NoRandomness:
+    """A generator stub whose every draw fails the test."""
+
+    def random(self, *args):
+        raise AssertionError("read a uniform")
+
+    def standard_normal(self, *args):
+        raise AssertionError("read a standard normal")
+
+
 EDGE_PRIORS = (PriorSpec.flat(),
                PriorSpec.conjugate(mu0=0.3, kappa0=2.0, nu0=3.0, sigma0_sq=0.02))
 EDGE_N = st.one_of(st.integers(3, 60), st.integers(61, 10 ** 6))
@@ -218,6 +227,17 @@ class TestConditionalEdges:
         assert draw_mu(ybar, 0.25, n, prior, True, rng) == 0.5
         assert rng.bit_generator.state == before
 
+    @given(EDGE_N, st.floats(-0.5, 1.5), st.floats(0.25, 1e6), st.sampled_from(EDGE_PRIORS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_point_windows_read_no_randomness(self, n, ybar, v, prior):
+        # mu at sigma_sq >= 1/4 and ybar at (n-1)/n s_sq >= 1/4 are 1/2, drawn from nothing
+        assert draw_mu(ybar, v, n, prior, True, _NoRandomness()) == 0.5
+        s_sq = n / (n - 1.0) * v
+        while (n - 1.0) / n * s_sq < 0.25:
+            s_sq = math.nextafter(s_sq, math.inf)
+        window = mean_window(min((n - 1.0) / n * s_sq, 0.25))
+        assert gibbs._draw_mean(ybar, 0.1, window, s_sq, n / (n - 1.0), _NoRandomness()) == 0.5
+
     @given(EDGE_N, st.integers(0, 4), st.floats(-0.5, 1.5), st.floats(1e-6, 0.25),
            st.floats(1e-3, 1e9), st.floats(-1.0, 2.0), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -227,10 +247,12 @@ class TestConditionalEdges:
         s_sq = n / (n - 1.0) * 0.5 * (1.0 - 0.5)
         for _ in range(ulps):
             s_sq = math.nextafter(s_sq, 0.0)
+        prec = omega_sq_inv + n / sigma_sq  # ybar | mu as gibbs_step draws it
         try:
-            ybar = draw_ybar(mu, sigma_sq, s_sq, omega_sq_inv, omega_sq_inv + n / sigma_sq,
-                             ybar_star, n, mean_window(min((n - 1.0) / n * s_sq, 0.25)),
-                             np.random.default_rng(seed))
+            ybar = gibbs._draw_mean((ybar_star * omega_sq_inv + n * mu / sigma_sq) / prec,
+                                    math.sqrt(1.0 / prec),
+                                    mean_window(min((n - 1.0) / n * s_sq, 0.25)), s_sq,
+                                    n / (n - 1.0), np.random.default_rng(seed))
         except DpGibbsError:
             return
         assert math.isfinite(ybar)

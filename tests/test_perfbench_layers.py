@@ -1,10 +1,11 @@
-"""The benchmark can still rebind every name it wraps.
+"""The benchmark can still rebind every name it wraps, and the digest script still imports.
 
 perfbench/layers.py wraps package functions by module attribute, for
 example ``dpgibbs.augmented.sample_trunc_gamma``, and perfbench/run.py's
 Observer rebinds the samplers and harness steps that the untraced run
 watches.  A rename that removes one of them breaks ``perfbench/run.py``
-but nothing else.
+but nothing else.  Likewise ``tests/digests.py``, which pytest does not
+collect, imports private names of the package and of tests/oracles.py.
 """
 
 import sys
@@ -15,6 +16,7 @@ import dpgibbs.cli as cli
 import dpgibbs.harness as harness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_layers_install_and_uninstall():
@@ -54,3 +56,13 @@ def test_observer_install_and_uninstall():
         observer.patches.uninstall()
     for (module, name), fn in originals.items():
         assert getattr(module, name) is fn, name
+
+
+def test_digest_script_imports():
+    path = list(sys.path)
+    try:
+        sys.path.insert(0, str(TESTS))
+        import digests
+    finally:
+        sys.path[:] = path
+    assert callable(digests.main)

@@ -11,7 +11,7 @@ from dpgibbs.gibbs import SamplerConfig
 from dpgibbs.regression import (
     RegPriors,
     RegRelease,
-    _conjugate_update,
+    _coefficient_conditional,
     ingest_and_rescale,
     moment_model,
     moment_model_from_release,
@@ -204,16 +204,24 @@ class TestMomentModel:
         np.testing.assert_allclose(sigma_t, emp_cov, atol=8e-3)
 
 
+def _warnings():
+    return {"lambda_psd_projected": 0, "b_n_clamped": 0}
+
+
 class TestConjugateUpdate:
+    """_coefficient_conditional is the normal-inverse-gamma update from a statistic vector
+    (sum x, sum x^2, sum y, sum xy, sum y^2), here with the count n known."""
+
     def test_matches_hand_formula(self):
         priors = RegPriors.default()
+        stats = np.array([20.0, 12.0, 22.0, 11.0, 14.0])
         xtx = np.array([[46.0, 20.0], [20.0, 12.0]])
         xty = np.array([22.0, 11.0])
         yty = 14.0
-        mu_n, lambda_n, chol_n, a_n, b_n = _conjugate_update(xtx, xty, yty, 46, priors)
+        warnings = _warnings()
+        mu_n, chol_n, a_n, b_n = _coefficient_conditional(stats, 46, priors, True, warnings)
         lam_expected = xtx + priors.lambda0
         mu_expected = np.linalg.solve(lam_expected, priors.lambda0 @ priors.mu0 + xty)
-        np.testing.assert_allclose(lambda_n, lam_expected)
         np.testing.assert_allclose(chol_n, np.linalg.cholesky(np.linalg.inv(lam_expected)),
                                    rtol=1e-9)
         np.testing.assert_allclose(mu_n, mu_expected, rtol=1e-9)
@@ -221,6 +229,24 @@ class TestConjugateUpdate:
         assert b_n == pytest.approx(
             priors.b0 + 0.5 * (yty + priors.mu0 @ priors.lambda0 @ priors.mu0
                                - mu_expected @ lam_expected @ mu_expected))
+        assert warnings == _warnings()
+
+    def test_non_pd_lambda_n_takes_one_consistent_fallback(self):
+        # X'X = [[10, 10.5], [10.5, 10]] makes lambda_n indefinite, with eigenvectors
+        # (1, 1) and (1, -1).  X'y leans off (1, 1) by just enough that mu_n has an O(1)
+        # component along (1, -1), where the projection moves lambda_n from -0.25 to 1e-10.
+        # b_n must use the projected lambda_n, as mu_n and the factor do.
+        priors = RegPriors(mu0=np.zeros(2), lambda0=np.diag([0.25, 0.25]), a0=20.0, b0=0.5)
+        stats = np.array([10.5, 10.0, 1.0 + 2e-9, 1.0 - 2e-9, 1.0])
+        warnings = _warnings()
+        mu_n, chol_n, a_n, b_n = _coefficient_conditional(stats, 10, priors, True, warnings)
+        assert warnings == {"lambda_psd_projected": 1, "b_n_clamped": 0}
+        assert a_n == priors.a0 + 5.0
+        assert abs(mu_n[0] - mu_n[1]) > 1.0  # the component the projection weighs
+        # along (1, 1) mu_n is X'y / 20.75, up to the rounding of cov_n's 1e8-sized entries
+        assert mu_n.sum() == pytest.approx(2.0 / 20.75, rel=1e-5)
+        lam = nearest_psd(np.array([[10.25, 10.5], [10.5, 10.25]])) + 1e-10 * np.eye(2)
+        assert b_n == pytest.approx(priors.b0 + 0.5 * (1.0 - mu_n @ lam @ mu_n), rel=1e-9)
 
     def test_zero_noise_chain_recovers_conjugate_posterior(self):
         data = demo_data()
@@ -228,10 +254,9 @@ class TestConjugateUpdate:
         draws = run_regression_chain(rel, RegPriors.default(), False,
                                      SamplerConfig(iters=4000, seed=3, burn_in=200))
         x, y = data.x, data.y
-        xtx = np.array([[data.n, x.sum()], [x.sum(), (x * x).sum()]])
-        xty = np.array([y.sum(), (x * y).sum()])
-        mu_n, _, _, _, _ = _conjugate_update(xtx, xty, float((y * y).sum()),
-                                          data.n, RegPriors.default())
+        stats = np.array([x.sum(), (x * x).sum(), y.sum(), (x * y).sum(), (y * y).sum()])
+        mu_n, _, _, _ = _coefficient_conditional(stats, data.n, RegPriors.default(), True,
+                                                 _warnings())
         from dpgibbs.summary import mc_se
 
         assert abs(draws.theta0.mean() - mu_n[0]) < 3 * mc_se(draws.theta0)
