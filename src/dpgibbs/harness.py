@@ -20,7 +20,8 @@ from numpy.random import Generator
 from .augmented import run_augmented_chain
 from .distributions import sample_trunc_normal_block
 from .errors import ConfigurationError, NumericalError
-from .gibbs import ConstraintMode, PriorSpec, SamplerConfig, check_config, run_chain
+from .gibbs import (ConstraintMode, PriorSpec, SamplerConfig, _physical_memory, check_config,
+                    run_chain)
 from .release import UNIT, Budget, GaussianSummary, release
 from .summary import (
     KDE_MIN_SAMPLES,
@@ -31,6 +32,7 @@ from .summary import (
 )
 
 _MODES = ("unconstrained", "constrained", "likelihood")
+_BYTES_PER_VALUE = 17  # peak bytes per value of generate_dataset (tracemalloc)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,11 @@ class Scenario:
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
         check_config(self.n, budget, self.prior, self.mode != "likelihood")
+        # every mode draws the n data values; likelihood mode's latents were capped above
+        if self.n * _BYTES_PER_VALUE > (memory := _physical_memory()):
+            raise ConfigurationError(
+                f"n = {self.n} data values need about {self.n * _BYTES_PER_VALUE:.3g} bytes, "
+                f"more than the {memory:.3g} bytes of physical memory")
         if not (0.0 < self.truth_mu < 1.0 and 0.0 < self.truth_sigma < math.inf):
             raise ConfigurationError("need truth_mu in (0, 1) and finite truth_sigma > 0")
 

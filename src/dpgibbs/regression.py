@@ -6,7 +6,18 @@ sum of xy, sum of y^2) and the five raw moments of x up to fourth order
 that the central-limit model of the statistics needs.  All variables
 live on [0, 1] after min-max rescaling, so every query has sensitivity 1.
 
-Each sweep imputes the sufficient statistics from a Gaussian
+The statistics are the sums over observations of the pairs w_a w_b of
+w = (1, x, y) = M(theta) u, where u = (1, x, e), e ~ N(0, sigma_sq), and
+M(theta) = [[1, 0, 0], [0, 1, 0], [theta0, theta1, 1]].  So their
+central-limit model (Bernstein & Sheldon, NeurIPS 2019) is one identity:
+per observation, the mean is A E[vec uu'] and the covariance
+A Cov(vec uu') A', with A the pairs' rows of M (x) M.  The moments of u
+are polynomials in sigma_sq whose coefficients the noisy raw moments
+m_k = sum x^k / n fix once per chain: a product with a factor from
+(1, x) takes m[#x] E[e^#e], so the noisy count enters through m_0, and a
+product of e alone takes E[e^#e].
+
+Each sweep imputes the sufficient statistics from that Gaussian
 central-limit model combined with the noisy observations (its covariance
 projected onto the PSD cone and inverted in one eigendecomposition), then
 performs the conjugate normal-inverse-gamma regression update from the
@@ -18,6 +29,7 @@ rejects the coefficient draw until the feasible-region predicate holds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,12 +47,11 @@ _CHOL_JITTER = 1e-10
 _DIFF_FLOOR = 1e-12  # least |released - imputed| statistic the noise-scale draw sees
 
 # statistic vector layout (unconstrained): count, sum x, sum x^2, sum y,
-# sum xy, sum y^2; constrained mode drops the count entry.  The pairs (i, j)
-# index eta = E[xx'] for the x statistics, as (i indices, j indices).
-_ACTIVE_PAIRS_FULL = (np.array([0, 1, 1]), np.array([0, 0, 1]))
-_ACTIVE_PAIRS_KNOWN_N = (np.array([1, 1]), np.array([0, 1]))
+# sum xy, sum y^2, the sums of w_a w_b over the pairs (a, b) below of
+# w = (1, x, y); constrained mode drops the count entry.
+_PAIRS = np.array([[0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]])
 _ZT_Z_LAYOUT = np.array([[0, 1, 3], [1, 2, 4], [3, 4, 5]])  # [X Y]'[X Y] from the 6-vector
-_XI4_ORDER = np.indices((2, 2, 2, 2)).sum(axis=0)  # i + j + k + l: moment order of xi4
+_NORMAL_MOMENTS = np.array([1.0, 0.0, 1.0, 0.0, 3.0])  # E[e^k] / sigma^k, e ~ N(0, sigma^2)
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,18 @@ class RegPriors:
 
 @dataclass(frozen=True)
 class RegMomentModel:
-    """Noisy second moments eta = E[xx'] and centered fourth moments.
+    """The moments of u = (1, x, e), e ~ N(0, sigma_sq), as polynomials in sigma_sq.
 
-    xi4 is the 2x2x2x2 covariance tensor of vec(xx').
+    mean[a, k] and cov[a, b, k] are the coefficients of sigma_sq^k in
+    E[vec uu'] and Cov(vec uu'), vec taken row-major.  A product of u
+    entries with at least one factor from (1, x) has the expectation
+    m[#x] E[e^#e], m[k] = noisy sum x^k / n (so m[0] is the noisy count
+    over n, not 1); a product of e alone has E[e^#e], so E[e^2] =
+    sigma_sq and E[e^4] = 3 sigma_sq^2.
     """
 
-    eta: np.ndarray
-    xi4: np.ndarray
+    mean: np.ndarray  # (9, 3)
+    cov: np.ndarray   # (9, 9, 3)
 
 
 @dataclass(frozen=True)
@@ -177,51 +193,48 @@ def nearest_psd(m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _product_moments(m: np.ndarray, k: int) -> np.ndarray:
+    """(3^k, 3): coefficients of 1, sigma_sq, sigma_sq^2 in E[u_i1 ... u_ik], row-major."""
+    idx = np.indices((3,) * k).reshape(k, -1)
+    nx, ne = (idx == 1).sum(axis=0), (idx == 2).sum(axis=0)
+    value = np.where(ne < k, m[nx], 1.0) * _NORMAL_MOMENTS[ne]  # e alone: no m[0]
+    return value[:, None] * (ne[:, None] == 2 * np.arange(3))
+
+
 def moment_model_from_release(release: RegRelease) -> RegMomentModel:
-    """Build (eta, xi) from the noisy raw moments of x, per-observation scale."""
+    """The RegMomentModel of the noisy raw moments of x, per-observation scale."""
     m = release.fourth_moments / release.n
-    eta = np.array([[m[0], m[1]], [m[1], m[2]]])
-    return RegMomentModel(eta=eta, xi4=m[_XI4_ORDER] - np.multiply.outer(eta, eta))
+    mean = _product_moments(m, 2)  # no sigma_sq^2 term
+    cov = _product_moments(m, 4).reshape(9, 9, 3)
+    for i, j in itertools.product(range(2), repeat=2):
+        cov[:, :, i + j] -= np.outer(mean[:, i], mean[:, j])
+    return RegMomentModel(mean=mean, cov=cov)
 
 
 def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
                  n: int, constrained: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per-observation mean and covariance of the statistics.
 
-    The mean of the final entry is sigma_sq + theta' eta theta; the
-    caller scales everything by n.  Constrained mode drops the known
-    count statistic, shrinking the dimension from 6 to 5.  The covariance
-    need not be PSD; _spd_inverse projects it as it inverts it.
+    The statistics are the pairs w_a w_b of w = (1, x, y) = M u, with u =
+    (1, x, e) and M = [[1, 0, 0], [0, 1, 0], [theta0, theta1, 1]].  So with
+    A the pairs' rows of M (x) M, the mean is A E[vec uu'] and the
+    covariance A Cov(vec uu') A', where the moments of u are those of
+    RegMomentModel: m[#x] E[e^#e] for a product with a factor from (1, x),
+    the noisy count entering through m[0], and E[e^#e] for e alone.  The
+    caller scales everything by n.  Constrained mode drops the known count
+    statistic, shrinking the dimension from 6 to 5.  The covariance need
+    not be PSD; _spd_inverse projects it as it inverts it.
     """
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
-    eta, xi4 = model.eta, model.xi4
-    pi, pj = _ACTIVE_PAIRS_KNOWN_N if constrained else _ACTIVE_PAIRS_FULL
-    eta_theta = eta @ theta
-    quad = float(theta @ eta_theta)
-
-    mu_t = np.concatenate([eta[pi, pj], eta_theta, [sigma_sq + quad]])
-
-    xi_th_l = np.einsum("ijkl,l->ijk", xi4, theta)       # contract one theta
-    xi_th_jl = np.einsum("ijk,j->ik", xi_th_l, theta)
-    xi_th_kl = np.einsum("ijkl,k,l->ij", xi4, theta, theta)
-    xi_th_jkl = np.einsum("ijkl,j,k,l->i", xi4, theta, theta, theta)
-    xi_th_all = float(np.einsum("ijkl,i,j,k,l->", xi4, theta, theta, theta, theta))
-
-    na = pi.size
-    p = na + 3
-    sigma = np.empty((p, p))
-    sigma[:na, :na] = xi4[pi[:, None], pj[:, None], pi, pj]
-    sigma[:na, na:na + 2] = xi_th_l[pi, pj]
-    sigma[na:na + 2, :na] = xi_th_l[pi, pj].T
-    sigma[:na, p - 1] = xi_th_kl[pi, pj]
-    sigma[p - 1, :na] = xi_th_kl[pi, pj]
-    sigma[na:na + 2, na:na + 2] = sigma_sq * eta + xi_th_jl
-    cross = 2.0 * sigma_sq * eta_theta + xi_th_jkl
-    sigma[na:na + 2, p - 1] = cross
-    sigma[p - 1, na:na + 2] = cross
     # sigma_sq * sigma_sq, not ** 2, which raises OverflowError rather than giving inf
-    sigma[p - 1, p - 1] = 2.0 * sigma_sq * sigma_sq + 4.0 * sigma_sq * quad + xi_th_all
+    powers = np.array([1.0, sigma_sq, sigma_sq * sigma_sq])
+    m_theta = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [theta[0], theta[1], 1.0]])
+    left, right = _PAIRS[:, 1:] if constrained else _PAIRS
+    a = (m_theta[left, :, None] * m_theta[right, None, :]).reshape(left.size, 9)
+    with np.errstate(invalid="ignore"):  # 0 * inf where sigma_sq^2 overflows, raised below
+        mu_t = a @ (model.mean @ powers)
+        sigma = a @ (model.cov @ powers) @ a.T
     if not (np.isfinite(mu_t).all() and np.isfinite(sigma).all()):
         raise NumericalError("the statistics' moment model is not finite",
                              {"theta": theta.tolist(), "sigma_sq": sigma_sq})

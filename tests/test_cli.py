@@ -313,6 +313,15 @@ class TestSimulate:
         code, err = run_quietly(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")])
         assert code == 2 and "physical memory" in err
 
+    @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+    def test_collapsed_scenario_beyond_memory_exits_2(self, tmp_path, monkeypatch, mode):
+        # the collapsed chain holds no latents, but the replication's dataset is
+        # n = 10**12 values; TestInfer shows a collapsed infer at this n exits 0
+        monkeypatch.setattr(harness, "sample_trunc_normal_block", _no_latents)
+        grid = self.grid_file(tmp_path, [self.scenario_dict(n=10 ** 12, mode=mode)])
+        code, err = run_quietly(["simulate", "--grid", grid, "--out", str(tmp_path / "r.csv")])
+        assert code == 2 and "physical memory" in err
+
     def test_fig2_preset_loads(self):
         from importlib import resources
 

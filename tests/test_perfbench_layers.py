@@ -4,36 +4,65 @@ perfbench/layers.py wraps package functions by module attribute, for
 example ``dpgibbs.augmented.sample_trunc_gamma``, and perfbench/run.py's
 Observer rebinds the samplers and harness steps that the untraced run
 watches.  A rename that removes one of them breaks ``perfbench/run.py``
-but nothing else.  Likewise ``tests/digests.py``, which pytest does not
-collect, imports private names of the package and of tests/oracles.py.
+but nothing else, and a caller that stops reaching one through its module
+attribute zeroes a per-layer metric without failing.  Likewise
+``tests/digests.py``, which pytest does not collect, imports private names
+of the package and of tests/oracles.py.
 """
 
 import sys
+from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 import dpgibbs.augmented as augmented
 import dpgibbs.cli as cli
 import dpgibbs.harness as harness
+import dpgibbs.regression as regression
+from dpgibbs.gibbs import SamplerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = Path(__file__).resolve().parent
 
 
-def test_layers_install_and_uninstall():
+def _layers_and_tracer():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
         from tracing import Tracer
     finally:
         sys.path.remove(str(PERFBENCH))
+    return layers, Tracer()
+
+
+def test_layers_install_and_uninstall():
+    layers, tracer = _layers_and_tracer()
     originals = (augmented.sample_trunc_gamma, cli.main, cli._write_text)
-    tracer = Tracer()
     try:
         layers.install(tracer, [0])
         assert augmented.sample_trunc_gamma is not originals[0]
     finally:
         tracer.uninstall()
     assert (augmented.sample_trunc_gamma, cli.main, cli._write_text) == originals
+
+
+def test_regression_wraps_count_calls():
+    path = resources.files("dpgibbs").joinpath("data/demo_regression.csv")
+    data = regression.ingest_and_rescale(*cli._read_csv(str(path), 2)[1])
+    layers, tracer = _layers_and_tracer()
+    try:
+        layers.install(tracer, [0])
+        for eps, constrained in ((1.0, False), (10.0, True)):
+            rel = regression.release_regression(data, eps, np.random.default_rng(0))
+            regression.run_regression_chain(rel, regression.RegPriors.default(), constrained,
+                                            SamplerConfig(iters=20, seed=1, burn_in=0))
+    finally:
+        tracer.uninstall()
+    assert tracer.get("regression.moment_model").calls == 40  # once per iteration
+    assert tracer.get("regression.nearest_psd").calls >= 20
+    assert tracer.get("feasible.stats").calls >= 20
+    assert tracer.get("feasible.theta").calls >= 20
 
 
 def test_observer_install_and_uninstall():
