@@ -21,7 +21,9 @@ Each sweep imputes the sufficient statistics from that Gaussian
 central-limit model combined with the noisy observations (its covariance
 projected onto the PSD cone and inverted in one eigendecomposition), then
 performs the conjugate normal-inverse-gamma regression update from the
-imputed statistics, then refreshes the per-query noise scales.
+imputed statistics (in unconstrained mode their [X Y]'[X Y] is projected
+onto the PSD cone only when LAPACK's Cholesky, dpotrf, finds it not PD),
+then refreshes the per-query noise scales.
 Constrained mode rejects and resamples the statistic vector until it
 satisfies the bounded-data inequalities and [X Y]'[X Y] is PSD, and
 rejects the coefficient draw until the feasible-region predicate holds.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtrs
 
 from .distributions import sample_inverse_gaussian, sample_laplace, sample_trunc_gamma
 from .errors import NumericalError, StuckChainError, ValidationError
@@ -101,6 +103,11 @@ class RegPriors:
             raise ValueError("lambda0 must be symmetric")
         if np.linalg.eigvalsh(self.lambda0).min() <= 0:
             raise ValueError("lambda0 must be positive definite")
+        # (lambda0 mu0, mu0' lambda0 mu0), which every coefficient update adds; one that
+        # overflows ends there in NumericalError, so it raises no warning here
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "_terms", (self.lambda0 @ self.mu0,
+                                               self.mu0 @ self.lambda0 @ self.mu0))
 
     @classmethod
     def default(cls) -> "RegPriors":
@@ -181,13 +188,25 @@ def release_regression(data: RegressionData, eps_per_query: float,
     return RegRelease(z=z, fourth_moments=fourth, eps_per_query=eps_per_query, n=n)
 
 
+def _eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and (unless vectors is False) eigenvectors of symmetric m.
+
+    LAPACK dsyevd on the lower triangle, as np.linalg.eigh computes them; a
+    decomposition that does not converge raises NumericalError.
+    """
+    vals, vecs, info = dsyevd(m, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise NumericalError("eigendecomposition did not converge", {"trace": float(np.trace(m))})
+    return vals, vecs
+
+
 def nearest_psd(m: np.ndarray) -> np.ndarray:
     """Eigenvalue-clipping projection onto the PSD cone; idempotent on PSD input."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("nearest_psd requires finite entries")
     sym = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = _eigh(sym)
     clipped = np.clip(vals, 0.0, None)
     out = (vecs * clipped) @ vecs.T
     return 0.5 * (out + out.T)
@@ -245,11 +264,11 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse through the eigendecomposition with a 1e-10 relative floor.
 
     The floor also clips negative eigenvalues, as nearest_psd would, so an
-    indefinite m is projected onto the PSD cone and inverted in one eigh;
+    indefinite m is projected onto the PSD cone and inverted in one _eigh;
     singular ones stay invertible, well-conditioned ones are not shifted.
     """
     sym = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = _eigh(sym)
     floor = _CHOL_JITTER * max(float(vals[-1]), 1e-30)
     vals = np.clip(vals, floor, None)
     out = (vecs / vals) @ vecs.T
@@ -257,13 +276,13 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_jittered(m: np.ndarray) -> np.ndarray:
-    scale = max(float(np.trace(m)) / m.shape[0], 1e-30)
     jitter = 0.0
     for _ in range(14):
         chol, info = dpotrf(m + jitter * np.eye(m.shape[0]) if jitter else m, lower=1)
         if info == 0:
             return chol
-        jitter = max(jitter * 10.0, _CHOL_JITTER * scale)
+        # the trace sets the first jitter; a PD m, the usual case, never reads it
+        jitter = jitter * 10.0 or _CHOL_JITTER * max(float(np.trace(m)) / m.shape[0], 1e-30)
     raise StuckChainError("precision Cholesky failed even with jitter",
                           {"trace": float(np.trace(m))})
 
@@ -295,6 +314,8 @@ def _first_passing(draw, checks: dict, message: str, diagnostics):
     formatted with the check that failed most, and the diagnostics hold
     diagnostics(last draw), the attempt count and the fails per check.
     """
+    if not checks:
+        return draw()
     fails = dict.fromkeys(checks, 0)
     for _ in range(_REJECTION_CAP):
         value = draw()
@@ -311,7 +332,9 @@ def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z
     """Mean and precision Cholesky factor of the imputed statistic vector."""
     mu_t, sigma_t = moment_model(theta, sigma_sq, model, n, constrained)
     model_prec = _spd_inverse(sigma_t)
-    chol_prec = _cholesky_jittered(model_prec / n + np.diag(omega_inv))  # prec = L L'
+    prec = model_prec / n
+    prec.flat[::prec.shape[0] + 1] += omega_inv
+    chol_prec = _cholesky_jittered(prec)  # prec = L L'
     mean = dpotrs(chol_prec, model_prec @ mu_t + omega_inv * z_active, lower=1)[0]
     if not np.isfinite(mean).all():
         raise NumericalError("the imputed statistics' mean is not finite",
@@ -325,14 +348,14 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
     """(mu_n, chol(lambda_n^-1), a_n, b_n) of the normal-inverse-gamma posterior of
     (theta, sigma_sq) given the imputed statistics.
 
-    Unconstrained statistics need not form a PSD [X Y]'[X Y], so they are
-    projected first.  A lambda_n = X'X + lambda0 that is not PD is
-    projected, nearest_psd(lambda_n) + 1e-10 I, and mu_n and b_n come from
-    that projection; b_n <= 0 is clamped.  Each fallback is counted in
-    warnings.
+    Unconstrained statistics need not form a PSD [X Y]'[X Y]; it is
+    projected only when dpotrf finds it not PD.  A lambda_n =
+    X'X + lambda0 that is not PD is projected, nearest_psd(lambda_n) +
+    1e-10 I, and mu_n and b_n come from that projection; b_n <= 0 is
+    clamped.  Each fallback is counted in warnings.
     """
     b = _zt_z(stats, n)
-    if not constrained:
+    if not constrained and dpotrf(b, lower=1)[1] != 0:
         b = nearest_psd(b)
     lambda_n = b[:2, :2] + priors.lambda0
     chol_n = _inverse_cholesky_2x2(lambda_n)
@@ -343,9 +366,8 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
         chol_n = _cholesky_jittered(cov_n)
     else:
         cov_n = chol_n @ chol_n.T
-    mu_n = cov_n @ (priors.lambda0 @ priors.mu0 + b[:2, 2])
-    b_n = float(priors.b0 + (float(b[2, 2]) + priors.mu0 @ priors.lambda0 @ priors.mu0
-                             - mu_n @ lambda_n @ mu_n) / 2.0)
+    mu_n = cov_n @ (priors._terms[0] + b[:2, 2])
+    b_n = float(priors.b0 + (float(b[2, 2]) + priors._terms[1] - mu_n @ lambda_n @ mu_n) / 2.0)
     if not (math.isfinite(b_n) and np.isfinite(mu_n).all()):
         raise NumericalError("the coefficient posterior is not finite", {"b_n": b_n})
     if b_n <= 0.0:
@@ -380,7 +402,7 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     # the inequalities
     stats_checks = {
         "stats": lambda s: regression_stats_feasible(*s, n),
-        "psd": lambda s: np.linalg.eigvalsh(_zt_z(s, n)).min() >= 0.0,
+        "psd": lambda s: _eigh(_zt_z(s, n), vectors=False)[0][0] >= 0.0,
     } if constrained else {}
     theta_checks = {
         "theta": lambda d: regression_theta_feasible(RegTheta(float(d[1][0]), float(d[1][1]))),

@@ -196,6 +196,12 @@ class TestRegress:
         rows = out.read_text().splitlines()[2:]
         assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(","))
 
+    def test_unconverged_eigendecomposition_exits_4(self, monkeypatch):
+        monkeypatch.setattr(regression, "dsyevd", lambda a, compute_v=1, lower=0: (a[0], a, 1))
+        code, err = run_quietly(_demo_regress("--eps-per-query", "1"))
+        assert code == 4
+        assert err.startswith("error: eigendecomposition did not converge")
+
     def test_malformed_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0\n")

@@ -48,19 +48,25 @@ def test_layers_install_and_uninstall():
 
 
 def test_regression_wraps_count_calls():
+    # nearest_psd runs only on iterations whose [X Y]'[X Y] is not PD, so its wrap is
+    # checked against a count of every run of its body, however the caller reached it
     path = resources.files("dpgibbs").joinpath("data/demo_regression.csv")
     data = regression.ingest_and_rescale(*cli._read_csv(str(path), 2)[1])
     layers, tracer = _layers_and_tracer()
+    code, runs = regression.nearest_psd.__code__, []
     try:
         layers.install(tracer, [0])
-        for eps, constrained in ((1.0, False), (10.0, True)):
-            rel = regression.release_regression(data, eps, np.random.default_rng(0))
+        sys.setprofile(lambda frame, event, _: event == "call" and frame.f_code is code
+                       and runs.append(frame))
+        for eps, release_seed, constrained in ((0.1, 1, False), (10.0, 0, True)):
+            rel = regression.release_regression(data, eps, np.random.default_rng(release_seed))
             regression.run_regression_chain(rel, regression.RegPriors.default(), constrained,
                                             SamplerConfig(iters=20, seed=1, burn_in=0))
     finally:
+        sys.setprofile(None)
         tracer.uninstall()
     assert tracer.get("regression.moment_model").calls == 40  # once per iteration
-    assert tracer.get("regression.nearest_psd").calls >= 20
+    assert tracer.get("regression.nearest_psd").calls == len(runs) > 0
     assert tracer.get("feasible.stats").calls >= 20
     assert tracer.get("feasible.theta").calls >= 20
 

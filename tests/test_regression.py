@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 import dpgibbs.regression as reg
-from dpgibbs.errors import StuckChainError, ValidationError
+from dpgibbs.errors import NumericalError, StuckChainError, ValidationError
 from dpgibbs.feasible import RegTheta, regression_stats_feasible, regression_theta_feasible
 from dpgibbs.gibbs import SamplerConfig
 from dpgibbs.regression import (
@@ -114,6 +115,72 @@ class TestNearestPsd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             nearest_psd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@pytest.fixture(scope="module")
+def chain_matrices():
+    """The moment model's covariances and the imputed [X Y]'[X Y] of 300-iteration demo
+    chains: unconstrained at eps 0.1 and 1, constrained at eps 10."""
+    covariances, zt_zs = [], []
+
+    def recording(*args):
+        mu_t, sigma = moment_model(*args)
+        covariances.append(sigma)
+        return mu_t, sigma
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reg, "moment_model", recording)
+        for eps, constrained in ((0.1, False), (1.0, False), (10.0, True)):
+            rel = release_regression(demo_data(), eps, np.random.default_rng(0))
+            d = run_regression_chain(rel, RegPriors.default(), constrained,
+                                     SamplerConfig(iters=300, seed=3, burn_in=0))
+            zt_zs += [reg._zt_z(s, rel.n) for s in d.stats]
+    return covariances, zt_zs
+
+
+def _assert_close_to_scale(actual, expected):
+    """Agreement to 1e-12 of expected's largest entry: rounding, not bits, may differ."""
+    np.testing.assert_allclose(actual, expected, rtol=0.0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+class TestEigendecompositionAgreement:
+    """_eigh (LAPACK dsyevd) against the np.linalg.eigh forms it replaced, on chain
+    matrices, and the dpotrf gate in front of the unconstrained projection."""
+
+    def test_spd_inverse_matches_eigh_form(self, chain_matrices):
+        for m in chain_matrices[0]:
+            vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+            vals = np.clip(vals, 1e-10 * max(float(vals[-1]), 1e-30), None)
+            out = (vecs / vals) @ vecs.T
+            _assert_close_to_scale(reg._spd_inverse(m), 0.5 * (out + out.T))
+
+    def test_nearest_psd_matches_eigh_form(self, chain_matrices):
+        covariances, zt_zs = chain_matrices
+        for m in covariances + zt_zs:
+            vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+            out = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+            _assert_close_to_scale(nearest_psd(m), 0.5 * (out + out.T))
+
+    def test_eigenvalues_alone_match_eigvalsh(self, chain_matrices):
+        for b in chain_matrices[1]:
+            _assert_close_to_scale(reg._eigh(b, vectors=False)[0], np.linalg.eigvalsh(b))
+
+    def test_projection_gate(self, chain_matrices):
+        zt_zs = chain_matrices[1]
+        pd = [b for b in zt_zs if dpotrf(b, lower=1)[1] == 0]
+        not_pd = [b for b in zt_zs if dpotrf(b, lower=1)[1] != 0]
+        assert pd and not_pd
+        for b in pd:  # skipping the projection moves b by rounding only
+            _assert_close_to_scale(b, nearest_psd(b))
+        for b in not_pd:
+            assert np.linalg.eigvalsh(nearest_psd(b)).min() >= -1e-12 * np.abs(b).max()
+
+    def test_unconverged_decomposition_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(reg, "dsyevd", lambda a, compute_v=1, lower=0: (a[0], a, 1))
+        with pytest.raises(NumericalError) as err:
+            reg._spd_inverse(np.diag([1.0, 2.0]))
+        assert err.value.diagnostics == {"trace": 3.0}
 
 
 def _eta_xi4(rel):
