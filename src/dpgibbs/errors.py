@@ -33,4 +33,4 @@ class SamplingError(NumericalError):
 
 
 class StuckChainError(SamplingError):
-    """A rejection-sampling update exhausted its retry budget."""
+    """A rejection-sampling update exhausted its retry budget; nothing else raises it."""

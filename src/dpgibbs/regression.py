@@ -25,8 +25,11 @@ imputed statistics (in unconstrained mode their [X Y]'[X Y] is projected
 onto the PSD cone only when LAPACK's Cholesky, dpotrf, finds it not PD),
 then refreshes the per-query noise scales.
 Constrained mode rejects and resamples the statistic vector until it
-satisfies the bounded-data inequalities and [X Y]'[X Y] is PSD, and
-rejects the coefficient draw until the feasible-region predicate holds.
+passes the bounded-data inequalities and the same dpotrf test on [X Y]'[X Y]
+(PD, not PSD: the two differ on a set of probability zero), and rejects the
+coefficient draw until the feasible-region predicate holds.  A dpotrf that
+fails on a precision, PD by construction, or a dsyevd that does not
+converge raises NumericalError (exit 4).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .feasible import RegTheta, regression_stats_feasible, regression_theta_feas
 from .gibbs import SamplerConfig
 
 _REJECTION_CAP = 1_000_000
-_CHOL_JITTER = 1e-10
+_EIG_FLOOR = 1e-10  # _spd_inverse's least over largest eigenvalue; a projected lambda_n's ridge
 _DIFF_FLOOR = 1e-12  # least |released - imputed| statistic the noise-scale draw sees
 
 # statistic vector layout (unconstrained): count, sum x, sum x^2, sum y,
@@ -99,7 +102,8 @@ class RegPriors:
             raise ValueError("a0 and b0 must be finite and positive")
         if not (np.all(np.isfinite(self.mu0)) and np.all(np.isfinite(self.lambda0))):
             raise ValueError("mu0 and lambda0 must be finite")
-        if not np.allclose(self.lambda0, self.lambda0.T):
+        # exactly: the update reads lambda0's upper triangle in one place, all of it in another
+        if not np.array_equal(self.lambda0, self.lambda0.T):
             raise ValueError("lambda0 must be symmetric")
         if np.linalg.eigvalsh(self.lambda0).min() <= 0:
             raise ValueError("lambda0 must be positive definite")
@@ -188,16 +192,21 @@ def release_regression(data: RegressionData, eps_per_query: float,
     return RegRelease(z=z, fourth_moments=fourth, eps_per_query=eps_per_query, n=n)
 
 
-def _eigh(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and (unless vectors is False) eigenvectors of symmetric m.
+def _clip_eigenvalues(m: np.ndarray, rel_floor: float, invert: bool = False) -> np.ndarray:
+    """(m + m')/2 with its eigenvalues clipped below rel_floor times the largest (below 0
+    when rel_floor is 0), or the inverse of that matrix if invert.
 
-    LAPACK dsyevd on the lower triangle, as np.linalg.eigh computes them; a
-    decomposition that does not converge raises NumericalError.
+    The eigendecomposition is LAPACK dsyevd on the lower triangle, as np.linalg.eigh
+    computes it; one that does not converge raises NumericalError.
     """
-    vals, vecs, info = dsyevd(m, compute_v=int(vectors), lower=1)
+    sym = 0.5 * (m + m.T)
+    vals, vecs, info = dsyevd(sym, compute_v=1, lower=1)
     if info != 0:
-        raise NumericalError("eigendecomposition did not converge", {"trace": float(np.trace(m))})
-    return vals, vecs
+        raise NumericalError("eigendecomposition did not converge",
+                             {"trace": float(np.trace(sym))})
+    vals = np.clip(vals, rel_floor * max(float(vals[-1]), 1e-30) if rel_floor else 0.0, None)
+    out = (vecs / vals if invert else vecs * vals) @ vecs.T
+    return 0.5 * (out + out.T)
 
 
 def nearest_psd(m: np.ndarray) -> np.ndarray:
@@ -205,11 +214,7 @@ def nearest_psd(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("nearest_psd requires finite entries")
-    sym = 0.5 * (m + m.T)
-    vals, vecs = _eigh(sym)
-    clipped = np.clip(vals, 0.0, None)
-    out = (vecs * clipped) @ vecs.T
-    return 0.5 * (out + out.T)
+    return _clip_eigenvalues(m, 0.0)
 
 
 def _product_moments(m: np.ndarray, k: int) -> np.ndarray:
@@ -231,7 +236,7 @@ def moment_model_from_release(release: RegRelease) -> RegMomentModel:
 
 
 def moment_model(theta: np.ndarray, sigma_sq: float, model: RegMomentModel,
-                 n: int, constrained: bool) -> tuple[np.ndarray, np.ndarray]:
+                 constrained: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per-observation mean and covariance of the statistics.
 
     The statistics are the pairs w_a w_b of w = (1, x, y) = M u, with u =
@@ -264,27 +269,23 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse through the eigendecomposition with a 1e-10 relative floor.
 
     The floor also clips negative eigenvalues, as nearest_psd would, so an
-    indefinite m is projected onto the PSD cone and inverted in one _eigh;
+    indefinite m is projected onto the PSD cone and inverted in one dsyevd;
     singular ones stay invertible, well-conditioned ones are not shifted.
     """
-    sym = 0.5 * (m + m.T)
-    vals, vecs = _eigh(sym)
-    floor = _CHOL_JITTER * max(float(vals[-1]), 1e-30)
-    vals = np.clip(vals, floor, None)
-    out = (vecs / vals) @ vecs.T
-    return 0.5 * (out + out.T)
+    return _clip_eigenvalues(m, _EIG_FLOOR, invert=True)
 
 
-def _cholesky_jittered(m: np.ndarray) -> np.ndarray:
-    jitter = 0.0
-    for _ in range(14):
-        chol, info = dpotrf(m + jitter * np.eye(m.shape[0]) if jitter else m, lower=1)
-        if info == 0:
-            return chol
-        # the trace sets the first jitter; a PD m, the usual case, never reads it
-        jitter = jitter * 10.0 or _CHOL_JITTER * max(float(np.trace(m)) / m.shape[0], 1e-30)
-    raise StuckChainError("precision Cholesky failed even with jitter",
-                          {"trace": float(np.trace(m))})
+def _is_pd(m: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky, dpotrf, factors m: the one positive-definiteness test."""
+    return dpotrf(m, lower=1)[1] == 0
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of m, which every caller builds positive definite."""
+    chol, info = dpotrf(m, lower=1)
+    if info != 0:
+        raise NumericalError("precision Cholesky failed", {"trace": float(np.trace(m))})
+    return chol
 
 
 def _inverse_cholesky_2x2(m: np.ndarray) -> np.ndarray | None:
@@ -330,11 +331,11 @@ def _first_passing(draw, checks: dict, message: str, diagnostics):
 def _statistics_conditional(theta, sigma_sq, model, n, constrained, omega_inv, z_active
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and precision Cholesky factor of the imputed statistic vector."""
-    mu_t, sigma_t = moment_model(theta, sigma_sq, model, n, constrained)
+    mu_t, sigma_t = moment_model(theta, sigma_sq, model, constrained)
     model_prec = _spd_inverse(sigma_t)
     prec = model_prec / n
     prec.flat[::prec.shape[0] + 1] += omega_inv
-    chol_prec = _cholesky_jittered(prec)  # prec = L L'
+    chol_prec = _cholesky(prec)  # prec = L L'
     mean = dpotrs(chol_prec, model_prec @ mu_t + omega_inv * z_active, lower=1)[0]
     if not np.isfinite(mean).all():
         raise NumericalError("the imputed statistics' mean is not finite",
@@ -355,15 +356,15 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
     clamped.  Each fallback is counted in warnings.
     """
     b = _zt_z(stats, n)
-    if not constrained and dpotrf(b, lower=1)[1] != 0:
+    if not constrained and not _is_pd(b):
         b = nearest_psd(b)
     lambda_n = b[:2, :2] + priors.lambda0
     chol_n = _inverse_cholesky_2x2(lambda_n)
     if chol_n is None:
-        lambda_n = nearest_psd(lambda_n) + _CHOL_JITTER * np.eye(2)
+        lambda_n = nearest_psd(lambda_n) + _EIG_FLOOR * np.eye(2)
         warnings["lambda_psd_projected"] += 1
         cov_n = _spd_inverse(lambda_n)
-        chol_n = _cholesky_jittered(cov_n)
+        chol_n = _cholesky(cov_n)
     else:
         cov_n = chol_n @ chol_n.T
     mu_n = cov_n @ (priors._terms[0] + b[:2, 2])
@@ -381,7 +382,7 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     """Gibbs sampler over (statistics, theta, sigma_sq, noise scales).
 
     Constrained mode enforces the full bounded-data inequality system,
-    sigma_sq <= 1/4 and PSD [X Y]'[X Y] on the imputed statistics, and
+    sigma_sq <= 1/4 and PD [X Y]'[X Y] on the imputed statistics, and
     the feasible-region predicate on theta; every stored draw satisfies
     them exactly.  A rejection loop exceeding one million attempts raises
     StuckChainError naming the constraint that failed most.
@@ -398,11 +399,11 @@ def run_regression_chain(release: RegRelease, priors: RegPriors, constrained: bo
     # an infeasible start makes the very first imputation needlessly sticky.
     sigma_sq = min(priors.b0, 0.25) if constrained else priors.b0
     omega_inv = np.full(p, eps_q * eps_q / 2.0)
-    # the PSD check is the costlier one, so it runs only on draws that pass
+    # the PD check is the costlier one, so it runs only on draws that pass
     # the inequalities
     stats_checks = {
         "stats": lambda s: regression_stats_feasible(*s, n),
-        "psd": lambda s: _eigh(_zt_z(s, n), vectors=False)[0][0] >= 0.0,
+        "psd": lambda s: _is_pd(_zt_z(s, n)),
     } if constrained else {}
     theta_checks = {
         "theta": lambda d: regression_theta_feasible(RegTheta(float(d[1][0]), float(d[1][1]))),

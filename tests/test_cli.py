@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -202,6 +203,13 @@ class TestRegress:
         assert code == 4
         assert err.startswith("error: eigendecomposition did not converge")
 
+    def test_failed_cholesky_exits_4(self, monkeypatch):
+        monkeypatch.setattr(regression, "dpotrf", lambda a, lower=0: (a, 1))
+        code, err = run_quietly(_demo_regress("--eps-per-query", "1"))
+        assert code == 4
+        assert err.startswith("error: precision Cholesky failed")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0\n")
@@ -247,6 +255,20 @@ class TestSimulate:
             "40", "0.5", "unconstrained", "flat", "0.5", "0"]
         assert [float(c) for c in cells[5:9]] == [res.coverage, res.coverage_se,
                                                   res.avg_len, res.rmse]
+
+    def test_paper_scale_restores_full_counts(self, tmp_path, monkeypatch):
+        # the grid reaches run_grid at the published sizes, otherwise unchanged; no chain runs
+        captured = []
+        monkeypatch.setattr(harness, "run_grid",
+                            lambda scenarios, parallelism: captured.extend(scenarios) or [])
+        assert run_cli(["simulate", "--grid", "fig2", "--paper-scale",
+                        "--out", str(tmp_path / "r.csv")]) == 0
+        preset = resources.files("dpgibbs").joinpath("presets/fig2.json")
+        expected = [_scenario(o) for o in json.loads(preset.read_text())["scenarios"]]
+        assert captured and len(captured) == len(expected)
+        for got, want in zip(captured, expected):
+            assert (got.reps, got.iters) == (10_000, 20_000)
+            assert dataclasses.replace(got, reps=want.reps, iters=want.iters) == want
 
     def test_empty_grid_exits_2(self, tmp_path):
         grid = self.grid_file(tmp_path, [])
@@ -483,6 +505,9 @@ MALFORMED = {
     "regress prior b0 Infinity": (3, lambda w: _regress(w, b0=float("inf"))),
     "regress prior mu0 Infinity": (3, lambda w: _regress(w, mu0=[float("inf"), 0.0])),
     "regress prior mu0 NaN": (3, lambda w: _regress(w, mu0=[float("nan"), 0.0])),
+    # symmetric to within np.allclose only: its transpose gave another posterior
+    "regress prior lambda0 not exactly symmetric": (3, lambda w: _regress(
+        w, lambda0=[[0.25, 0.1], [0.1 + 1e-6, 0.25]])),
     "release JSON (b - a)^2 overflows": (3, lambda w: _infer(
         w("r.json", {**RELEASE, "n": 50, "a": -1e300, "b": 1e300}))),
     "release JSON (b - a)^2 underflows": (3, lambda w: _infer(

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrf
 
 import dpgibbs.regression as reg
 from dpgibbs.errors import NumericalError, StuckChainError, ValidationError
@@ -119,23 +118,29 @@ class TestNearestPsd:
 
 @pytest.fixture(scope="module")
 def chain_matrices():
-    """The moment model's covariances and the imputed [X Y]'[X Y] of 300-iteration demo
-    chains: unconstrained at eps 0.1 and 1, constrained at eps 10."""
-    covariances, zt_zs = [], []
+    """The moment model's covariances, the imputed [X Y]'[X Y] and every matrix the PD
+    test saw (accepted and rejected) in 300-iteration demo chains: unconstrained at
+    eps 0.1 and 1, constrained at eps 10."""
+    covariances, zt_zs, pd_candidates = [], [], []
 
     def recording(*args):
         mu_t, sigma = moment_model(*args)
         covariances.append(sigma)
         return mu_t, sigma
 
+    def recording_pd(m, is_pd=reg._is_pd):
+        pd_candidates.append(m)
+        return is_pd(m)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reg, "moment_model", recording)
+        mp.setattr(reg, "_is_pd", recording_pd)
         for eps, constrained in ((0.1, False), (1.0, False), (10.0, True)):
             rel = release_regression(demo_data(), eps, np.random.default_rng(0))
             d = run_regression_chain(rel, RegPriors.default(), constrained,
                                      SamplerConfig(iters=300, seed=3, burn_in=0))
             zt_zs += [reg._zt_z(s, rel.n) for s in d.stats]
-    return covariances, zt_zs
+    return covariances, zt_zs, pd_candidates
 
 
 def _assert_close_to_scale(actual, expected):
@@ -145,8 +150,8 @@ def _assert_close_to_scale(actual, expected):
 
 
 class TestEigendecompositionAgreement:
-    """_eigh (LAPACK dsyevd) against the np.linalg.eigh forms it replaced, on chain
-    matrices, and the dpotrf gate in front of the unconstrained projection."""
+    """_clip_eigenvalues (LAPACK dsyevd) against the np.linalg.eigh forms it replaced,
+    on chain matrices, and the dpotrf test of positive definiteness."""
 
     def test_spd_inverse_matches_eigh_form(self, chain_matrices):
         for m in chain_matrices[0]:
@@ -156,20 +161,24 @@ class TestEigendecompositionAgreement:
             _assert_close_to_scale(reg._spd_inverse(m), 0.5 * (out + out.T))
 
     def test_nearest_psd_matches_eigh_form(self, chain_matrices):
-        covariances, zt_zs = chain_matrices
+        covariances, zt_zs, _ = chain_matrices
         for m in covariances + zt_zs:
             vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
             out = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
             _assert_close_to_scale(nearest_psd(m), 0.5 * (out + out.T))
 
-    def test_eigenvalues_alone_match_eigvalsh(self, chain_matrices):
-        for b in chain_matrices[1]:
-            _assert_close_to_scale(reg._eigh(b, vectors=False)[0], np.linalg.eigvalsh(b))
+    def test_pd_predicate_matches_eigvalsh(self, chain_matrices):
+        # the dpotrf test that gates the unconstrained projection and the constrained
+        # rejection loop gives eigvalsh's verdict on every candidate the chains drew
+        verdicts = [(reg._is_pd(b), np.linalg.eigvalsh(b).min() > 0.0)
+                    for b in chain_matrices[2]]
+        assert all(pd == positive for pd, positive in verdicts)
+        assert {pd for pd, _ in verdicts} == {True, False}
 
     def test_projection_gate(self, chain_matrices):
         zt_zs = chain_matrices[1]
-        pd = [b for b in zt_zs if dpotrf(b, lower=1)[1] == 0]
-        not_pd = [b for b in zt_zs if dpotrf(b, lower=1)[1] != 0]
+        pd = [b for b in zt_zs if reg._is_pd(b)]
+        not_pd = [b for b in zt_zs if not reg._is_pd(b)]
         assert pd and not_pd
         for b in pd:  # skipping the projection moves b by rounding only
             _assert_close_to_scale(b, nearest_psd(b))
@@ -217,7 +226,7 @@ class TestMomentModel:
         model = moment_model_from_release(rel)
         theta = np.array([0.2, 0.5])
         sigma_sq = 0.01
-        mu_t, sigma_t = moment_model(theta, sigma_sq, model, rel.n, constrained=False)
+        mu_t, sigma_t = moment_model(theta, sigma_sq, model, constrained=False)
         assert mu_t.shape == (6,) and sigma_t.shape == (6, 6)
         eta, _ = _eta_xi4(rel)
         quad = theta @ eta @ theta
@@ -232,15 +241,13 @@ class TestMomentModel:
     def test_constrained_variant_drops_count(self):
         rel = exact_release(demo_data())
         model = moment_model_from_release(rel)
-        mu_t, sigma_t = moment_model(np.array([0.2, 0.5]), 0.01, model, rel.n,
-                                     constrained=True)
+        mu_t, sigma_t = moment_model(np.array([0.2, 0.5]), 0.01, model, constrained=True)
         assert mu_t.shape == (5,) and sigma_t.shape == (5, 5)
 
     def test_zero_theta_limit_leaves_only_xi_block(self):
         rel = exact_release(demo_data())
         model = moment_model_from_release(rel)
-        mu_t, sigma_t = moment_model(np.zeros(2), 1e-12, model, rel.n,
-                                     constrained=False)
+        mu_t, sigma_t = moment_model(np.zeros(2), 1e-12, model, constrained=False)
         _, xi4 = _eta_xi4(rel)
         # the x-statistic block is the centered fourth-moment matrix itself
         pairs = ((0, 0), (1, 0), (1, 1))
@@ -257,7 +264,7 @@ class TestMomentModel:
                          eps_per_query=1.0, n=10)
         eta, xi4 = _eta_xi4(rel)
         theta, sigma_sq = np.array([0.3, -0.7]), 0.05
-        mu_t, sigma_t = moment_model(theta, sigma_sq, moment_model_from_release(rel), rel.n,
+        mu_t, sigma_t = moment_model(theta, sigma_sq, moment_model_from_release(rel),
                                      constrained=False)
         quad = theta @ eta @ theta
         assert mu_t[5] == pytest.approx(sigma_sq + quad, rel=1e-13)
@@ -280,7 +287,7 @@ class TestMomentModel:
         keep = slice(1, None) if constrained else slice(None)
         for _ in range(200):
             theta, sigma_sq = rng.uniform(-1.0, 1.0, 2), rng.uniform(1e-4, 0.25)
-            mu_t, sigma_t = moment_model(theta, sigma_sq, model, rel.n, constrained)
+            mu_t, sigma_t = moment_model(theta, sigma_sq, model, constrained)
             mean, cov = _enumerated_moments(points, theta, sigma_sq)
             np.testing.assert_allclose(mu_t, mean[keep], rtol=0, atol=1e-13)
             np.testing.assert_allclose(sigma_t, cov[keep, keep], rtol=0, atol=1e-13)
@@ -300,7 +307,7 @@ class TestMomentModel:
         moments = np.array([1.0] + [1.0 / (p + 1) for p in range(1, 5)])
         model = moment_model_from_release(RegRelease(
             z=np.zeros(6), fourth_moments=46 * moments, eps_per_query=1.0, n=46))
-        mu_t, sigma_t = moment_model(theta, sigma_sq, model, 46, constrained=False)
+        mu_t, sigma_t = moment_model(theta, sigma_sq, model, constrained=False)
         np.testing.assert_allclose(mu_t, emp_mean, atol=5e-3)
         np.testing.assert_allclose(sigma_t, emp_cov, atol=8e-3)
 
