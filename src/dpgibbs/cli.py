@@ -105,14 +105,12 @@ def _gaussian_prior(obj) -> PriorSpec:
         return PriorSpec(kind=obj.get("kind"))
 
 
-def _load_prior(source: str) -> PriorSpec:
-    if source == "flat":
-        return PriorSpec.flat()
+def _load_prior_json(path: str):
+    """The JSON object of a --prior file; a missing one is a bad flag (exit 2)."""
     try:
-        obj = _load_json(source)
+        return _load_json(path)
     except FileNotFoundError:
-        raise ConfigurationError(f"prior file {source!r} not found")
-    return _gaussian_prior(obj)
+        raise ConfigurationError(f"prior file {path!r} not found")
 
 
 def _format_draws_csv(columns: dict[str, np.ndarray]) -> str:
@@ -148,7 +146,8 @@ def cmd_release(args) -> int:
 
 def cmd_infer(args) -> int:
     rel = PrivateRelease.from_json(Path(args.release).read_text())
-    prior = _load_prior(args.prior)
+    prior = (PriorSpec.flat() if args.prior == "flat"
+             else _gaussian_prior(_load_prior_json(args.prior)))
     with _invalid(ConfigurationError, "bad --iters/--burn-in/--thin"):
         config = SamplerConfig(iters=args.iters, seed=args.seed,
                                burn_in=args.burn_in, thin=args.thin)
@@ -176,7 +175,7 @@ def cmd_regress(args) -> int:
     if args.prior is None:
         priors = RegPriors.default()
     else:
-        obj = _load_json(args.prior)
+        obj = _load_prior_json(args.prior)
         with _invalid(ValidationError, "bad regression prior"):
             priors = RegPriors(mu0=np.asarray(obj["mu0"], dtype=float),
                                lambda0=np.asarray(obj["lambda0"], dtype=float),

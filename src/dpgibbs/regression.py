@@ -48,7 +48,7 @@ from .feasible import RegTheta, regression_stats_feasible, regression_theta_feas
 from .gibbs import SamplerConfig
 
 _REJECTION_CAP = 1_000_000
-_EIG_FLOOR = 1e-10  # _spd_inverse's least over largest eigenvalue; a projected lambda_n's ridge
+_EIG_FLOOR = 1e-10  # least over largest eigenvalue of _spd_inverse and of a projected lambda_n
 _DIFF_FLOOR = 1e-12  # least |released - imputed| statistic the noise-scale draw sees
 
 # statistic vector layout (unconstrained): count, sum x, sum x^2, sum y,
@@ -351,9 +351,9 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
 
     Unconstrained statistics need not form a PSD [X Y]'[X Y]; it is
     projected only when dpotrf finds it not PD.  A lambda_n =
-    X'X + lambda0 that is not PD is projected, nearest_psd(lambda_n) +
-    1e-10 I, and mu_n and b_n come from that projection; b_n <= 0 is
-    clamped.  Each fallback is counted in warnings.
+    X'X + lambda0 that is not PD has its eigenvalues clipped below 1e-10
+    times the largest, and the factor, mu_n and b_n all come from that one
+    matrix; b_n <= 0 is clamped.  Each fallback is counted in warnings.
     """
     b = _zt_z(stats, n)
     if not constrained and not _is_pd(b):
@@ -361,12 +361,13 @@ def _coefficient_conditional(stats, n, priors, constrained, warnings
     lambda_n = b[:2, :2] + priors.lambda0
     chol_n = _inverse_cholesky_2x2(lambda_n)
     if chol_n is None:
-        lambda_n = nearest_psd(lambda_n) + _EIG_FLOOR * np.eye(2)
+        lambda_n = _clip_eigenvalues(lambda_n, _EIG_FLOOR)
         warnings["lambda_psd_projected"] += 1
-        cov_n = _spd_inverse(lambda_n)
-        chol_n = _cholesky(cov_n)
-    else:
-        cov_n = chol_n @ chol_n.T
+        chol_n = _inverse_cholesky_2x2(lambda_n)
+        if chol_n is None:
+            raise NumericalError("the projected coefficient precision is not PD",
+                                 {"trace": float(np.trace(lambda_n))})
+    cov_n = chol_n @ chol_n.T
     mu_n = cov_n @ (priors._terms[0] + b[:2, 2])
     b_n = float(priors.b0 + (float(b[2, 2]) + priors._terms[1] - mu_n @ lambda_n @ mu_n) / 2.0)
     if not (math.isfinite(b_n) and np.isfinite(mu_n).all()):

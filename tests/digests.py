@@ -5,7 +5,12 @@ the package from that checkout's ``src``, and the TGM weights, the TGM
 density and the noisy-variance density from ``tests/oracles.py``.  Two trees that print the same
 lines produce the same bytes on every path covered here, so a change that
 claims byte-identical output can be checked by running this script on
-both.  It is not a test and takes no options.
+both.  It is not a test and takes no options.  Its first line names the
+Python, numpy and scipy versions; tests/digests.txt is its output at
+those versions, and test_digests.py reruns it against that file, so a
+change that moves the byte stream shows as a diff of the file:
+
+    python tests/digests.py > tests/digests.txt
 
 Each digest hashes float.hex of every value produced, or the class name
 of the error raised, for a fixed list of seeded inputs:
@@ -48,6 +53,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -356,7 +362,14 @@ def cli() -> str:
     return h.hexdigest()
 
 
+def versions() -> str:
+    """The header line: the versions the digests were computed with."""
+    return (f"# python {sys.version.split()[0]}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}")
+
+
 def main():
+    print(versions(), flush=True)
     for name, fn in (("kernels", kernels),
                      ("chain flat", lambda: chain("flat")),
                      ("chain nig", lambda: chain("nig")),

@@ -210,6 +210,13 @@ class TestRegress:
         assert err.startswith("error: precision Cholesky failed")
         assert len(err.splitlines()) == 1
 
+    def test_missing_prior_file_exits_2(self, tmp_path):
+        # the same loader as infer's --prior: a missing file is a bad flag, not bad data
+        code, err = run_quietly(_demo_regress("--eps-per-query", "1",
+                                              "--prior", str(tmp_path / "nope.json")))
+        assert code == 2
+        assert err.startswith("error: prior file") and len(err.splitlines()) == 1
+
     def test_malformed_data_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0\n")

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,18 @@ class TestFlatEvidence:
         with pytest.raises(ValueError):
             flat_evidence_closed(0.1, 3, 0.1)
 
+    @pytest.mark.parametrize("s2_star", [-1.0, -0.05, -1e-6, 0.0, 1e-6, 0.05, 1.0])
+    def test_matches_mpmath_without_cancellation(self, s2_star):
+        # at n = 50, eps2 = 10 the Laplace tail beyond |s2_star| reaches e^-500; written
+        # as 0.5 + 0.5 sgn (1 - tail) it lost digits at -0.05 and read 0.0 at -1.0
+        n, eps2 = 50, 10.0
+        with mpmath.workdps(50):
+            half_tail = mpmath.exp(-eps2 * n * abs(mpmath.mpf(s2_star))) / 2
+            p = half_tail if s2_star < 0 else 1 - half_tail
+            expected = float(mpmath.mpf(n - 1) / (n - 3) * p)
+        got = flat_evidence_closed(s2_star, n, eps2)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_quadrature_agrees(self):
         rep = flat_evidence_quadrature(0.04, 10, 0.1, 0.1)
         assert rep.rel_err < 1e-3
@@ -131,6 +146,23 @@ class TestFlatEvidence:
         a = flat_evidence_quadrature(0.04, 10, 0.01, 0.1)
         b = flat_evidence_quadrature(0.04, 10, 1.0, 0.1)
         assert abs(a.quadrature - b.quadrature) < 1e-6
+
+    @pytest.mark.parametrize("n", [4, 5, 50])
+    @pytest.mark.parametrize("eps2", [0.01, 10.0])
+    @pytest.mark.parametrize("s2_star", [-0.05, 0.0, 0.2])
+    def test_quadrature_matches_closed_form_tightly(self, n, eps2, s2_star):
+        # n = 4 has the slowest sigma_sq^-(n-1)/2 tail; n = 50, eps2 = 10 the narrowest
+        # Laplace, and at s2_star = -0.05 an evidence near 7e-12
+        rep = flat_evidence_quadrature(s2_star, n, 0.1, eps2)
+        assert rep.rel_err < 1e-9
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    code = ("import sys, dpgibbs.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestJeffreysScan:

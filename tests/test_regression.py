@@ -342,8 +342,9 @@ class TestConjugateUpdate:
     def test_non_pd_lambda_n_takes_one_consistent_fallback(self):
         # X'X = [[10, 10.5], [10.5, 10]] makes lambda_n indefinite, with eigenvectors
         # (1, 1) and (1, -1).  X'y leans off (1, 1) by just enough that mu_n has an O(1)
-        # component along (1, -1), where the projection moves lambda_n from -0.25 to 1e-10.
-        # b_n must use the projected lambda_n, as mu_n and the factor do.
+        # component along (1, -1), where the projection moves lambda_n from -0.25 to
+        # 1e-10 times its largest eigenvalue, 20.75.  b_n must use the projected
+        # lambda_n, as mu_n and the factor do.
         priors = RegPriors(mu0=np.zeros(2), lambda0=np.diag([0.25, 0.25]), a0=20.0, b0=0.5)
         stats = np.array([10.5, 10.0, 1.0 + 2e-9, 1.0 - 2e-9, 1.0])
         warnings = _warnings()
@@ -353,8 +354,12 @@ class TestConjugateUpdate:
         assert abs(mu_n[0] - mu_n[1]) > 1.0  # the component the projection weighs
         # along (1, 1) mu_n is X'y / 20.75, up to the rounding of cov_n's 1e8-sized entries
         assert mu_n.sum() == pytest.approx(2.0 / 20.75, rel=1e-5)
-        lam = nearest_psd(np.array([[10.25, 10.5], [10.5, 10.25]])) + 1e-10 * np.eye(2)
+        along, across = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+        lam = (20.75 * np.outer(along, along) + 20.75e-10 * np.outer(across, across)) / 2.0
         assert b_n == pytest.approx(priors.b0 + 0.5 * (1.0 - mu_n @ lam @ mu_n), rel=1e-9)
+        # and that matrix is the inverse of chol_n chol_n': mu_n' lambda_n mu_n = |chol_n^-1 mu_n|^2
+        whitened = np.linalg.solve(chol_n, mu_n)
+        assert b_n == pytest.approx(priors.b0 + 0.5 * (1.0 - whitened @ whitened), rel=1e-12)
 
     def test_zero_noise_chain_recovers_conjugate_posterior(self):
         data = demo_data()
