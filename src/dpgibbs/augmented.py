@@ -11,7 +11,14 @@ factors because the proposal cancels the data-model term.
 
 Per-sweep cost is linear in n, unlike the collapsed sampler.  A sweep
 draws mu, sigma_sq, the n proposals as one block and n acceptance
-uniforms, in that order, then scans the latents once in Python floats.
+uniforms, in that order, then scans the latents once in ascending order.
+The scan is evaluated in two passes.  Each swap's log acceptance ratio has
+a lower bound that holds whatever the earlier swaps did (_swap_bounds);
+one numpy pass commits every swap whose uniform is below exp(-bound)
+through prefix sums of the moment changes, and a Python loop decides the
+remaining swaps in order against the exact moments, rebuilt from those
+sums.  Up to the rounding of the moments, the accepted set is that of the
+one-latent-at-a-time scan.
 
 The (mu, sigma_sq) conditionals are gibbs.draw_mu and gibbs.draw_sigma_sq,
 without the collapsed sampler's TGM floor and cap on sigma_sq; draw_mu
@@ -50,8 +57,11 @@ _DRIFT_TOL = 1e-8
 class AugmentedState:
     """Latent data vector plus cached sample moments.
 
-    The cache must track the exact moments of ``y``; run_augmented_chain
-    recomputes and refreshes it every 1,000 accepted swaps.
+    The cache must track the exact moments of ``y``; a sweep rebuilds it
+    from the sums of its accepted moment changes, and run_augmented_chain
+    recomputes and refreshes it every 1,000 accepted swaps.  ybar and s_sq
+    are Python floats: the scan's loop does scalar arithmetic on them, which
+    is several times slower on np.float64.
     """
 
     mu: float
@@ -68,12 +78,31 @@ def _init_augmented(release_unit: PrivateRelease, rng: Generator) -> AugmentedSt
                           ybar=float(y.mean()), s_sq=float(y.var(ddof=1)))
 
 
+def _swap_bounds(step: np.ndarray, w: np.ndarray, n: int, eps1: float,
+                 eps2: float) -> np.ndarray:
+    """bound_i >= 0 with swap i's log acceptance ratio >= -bound_i, whatever
+    the earlier swaps of the scan did.
+
+    step = (props - y)/n and w = props + y - 2 ybar, with y and ybar as the
+    scan starts.  Swap i moves ybar by step_i and s_sq by n step_i (w_i - 2 t
+    - step_i)/(n - 1), where t sums the earlier accepted steps; |2 t - C_i|
+    <= A_i, with C_i and A_i the sums of step_j and |step_j| over j < i.  So
+    bound_i = eps1 n |step_i| + eps2 n^2/(n - 1) |step_i| (|w_i - C_i| + A_i
+    + |step_i|).
+    """
+    a = np.abs(step)
+    return a * (eps1 * n + eps2 * n * n / (n - 1.0) * (np.abs(w - step.cumsum() + step)
+                                                     + a.cumsum()))
+
+
 def augmented_sweep(state: AugmentedState, release_unit: PrivateRelease,
                     prior: PriorSpec, constrained: bool, rng: Generator) -> int:
     """One in-place sweep; returns the number of accepted swaps.
 
     Swap i, to proposal i, is accepted when uniform i is below exp[-eps1 n
-    (|ybar* - ybar'| - |ybar* - ybar|) - eps2 n (|s2* - s2'| - |s2* - s2|)].
+    (|ybar* - ybar'| - |ybar* - ybar|) - eps2 n (|s2* - s2'| - |s2* - s2|)],
+    with the moments before and after the swap.  Swaps whose uniform is
+    below exp(-bound_i) are accepted without computing the ratio.
     """
     n = release_unit.n
     ybar, s_sq = state.ybar, state.s_sq
@@ -85,30 +114,39 @@ def augmented_sweep(state: AugmentedState, release_unit: PrivateRelease,
     props = (sample_trunc_normal_block(mu, sd, 0.0, 1.0, n, rng) if constrained
              else mu + sd * rng.standard_normal(n))
 
-    # -- latent values, fixed ascending scan --
-    ys = state.y.tolist()
-    nf, n_minus_1 = float(n), n - 1.0
-    neg_e1, e2 = -release_unit.budget.eps1 * nf, release_unit.budget.eps2 * nf
-    ystar, sstar = release_unit.ybar_star, release_unit.s_sq_star
-    exp = math.exp
-    dist1, dist2 = abs(ystar - ybar), abs(sstar - s_sq)
-    accepted = 0
-    for i, (prop, u) in enumerate(zip(props.tolist(), rng.random(n).tolist())):
-        old = ys[i]
-        delta = (prop - old) / nf
-        yb_new = ybar + delta
-        s2_new = s_sq + (prop * prop - old * old - nf * delta * (yb_new + ybar)) / n_minus_1
-        if s2_new < 0.0:
-            s2_new = 0.0
-        d1, d2 = abs(ystar - yb_new), abs(sstar - s2_new)
-        expo = neg_e1 * (d1 - dist1) - e2 * (d2 - dist2)
-        if expo >= 0.0 or u < exp(expo):
-            ys[i] = prop
-            ybar, s_sq, dist1, dist2 = yb_new, s2_new, d1, d2
-            accepted += 1
-    state.y[:] = ys
-    state.ybar, state.s_sq = ybar, s_sq
-    return accepted
+    # -- latent values: commit the swaps the bound accepts, then scan the rest --
+    y, u, budget, k = state.y, rng.random(n), release_unit.budget, n / (n - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An inf or NaN bound or increment only sends a swap to the exact scan.
+        step, w = (props - y) / n, props + y - 2.0 * ybar
+        sv = np.array((step, k * step * w))  # v: s_sq increment, mean held at ybar
+        bound = _swap_bounds(step, w, n, budget.eps1, budget.eps2)
+        accept = (u < np.exp(-bound)) & np.isfinite(sv[1])
+    bulk = np.where(accept, sv, 0.0).cumsum(axis=1)
+
+    # Before swap i, ybar has moved by t and s_sq = s - k t^2: t sums the
+    # earlier accepted steps and s adds their increments to s_sq, the bulk ones
+    # from the prefix sums and the scanned ones from t_scan and s_scan.
+    neg_e1, e2 = -budget.eps1 * n, budget.eps2 * n
+    c1, sstar = release_unit.ybar_star - ybar, release_unit.s_sq_star
+    exp, taken, t_scan, s_scan = math.exp, [], 0.0, s_sq
+    rest = (~accept).nonzero()[0]
+    for i, si, vi, t, s, ui in zip(rest.tolist(), *sv[:, rest].tolist(), *bulk[:, rest].tolist(),
+                                   u[rest].tolist()):
+        t += t_scan
+        s += s_scan
+        a = t + si
+        expo = (neg_e1 * (abs(c1 - a) - abs(c1 - t))
+                - e2 * (abs(sstar - s - vi + k * a * a) - abs(sstar - s + k * t * t)))
+        if expo >= 0.0 or ui < exp(expo):
+            t_scan += si
+            s_scan += vi
+            taken.append(i)
+    accept[taken] = True
+    y[accept] = props[accept]
+    t = float(bulk[0, -1]) + t_scan
+    state.ybar, state.s_sq = ybar + t, max(float(bulk[1, -1]) + s_scan - k * t * t, 0.0)
+    return int(np.count_nonzero(accept))
 
 
 def run_augmented_chain(release: PrivateRelease, constrained: bool,

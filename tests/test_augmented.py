@@ -1,6 +1,7 @@
 import copy
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from dpgibbs.gibbs import (
 from dpgibbs.release import UNIT, Budget, PrivateRelease
 from dpgibbs.summary import kde_mode, mc_se
 from oracles import augmented_sweep_reference, mh_accept_prob, moments_swap_update
+
+
+_N_BANDS = {3: (2, 12), 50: (13, 224), 1000: (225, 2000)}
+_EPS = st.floats(1e-3, 1e3) | st.sampled_from([1e307, 1.797e308])
 
 
 def unit_release(ybar_star=0.43, s_sq_star=0.28 ** 2, n=50, eps1=0.25, eps2=0.25):
@@ -158,17 +163,36 @@ class TestAugmentedChain:
         assert harness._one_rep(scenario, 0) is None
 
     @pytest.mark.parametrize("constrained", [False, True])
-    @pytest.mark.parametrize("n", [3, 50, 1000])
-    def test_scan_replays_reference_helpers(self, n, constrained):
+    @pytest.mark.parametrize("n_scale", sorted(_N_BANDS))
+    @given(data=st.data(), eps1=_EPS, eps2=_EPS, ybar_star=st.floats(-1.0, 2.0),
+           s_sq_star=st.floats(-0.5, 1.0), conjugate=st.booleans(),
+           spread=st.sampled_from([None, 1e-3]), warm=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_scan_replays_reference_helpers(self, n_scale, constrained, data, eps1, eps2,
+                                            ybar_star, s_sq_star, conjugate, spread,
+                                            warm, seed):
         """One sweep's proposals and uniforms, fed one latent at a time
         through moments_swap_update and mh_accept_prob, accept the same
-        latents and end at the same moments."""
-        rel = unit_release(n=n, eps1=1.0, eps2=1.0)
-        prior = PriorSpec.flat()
-        rng = np.random.default_rng(n)
+        latents and end at the same moments.
+
+        n is drawn from the band of n_scale, so every run reaches both
+        n = 2 and n in the thousands; with spread set, the sweep starts from
+        latents within spread of each other, where s_sq is about 1e-7.
+        """
+        n = data.draw(st.integers(*_N_BANDS[n_scale]), label="n")
+        rel = unit_release(ybar_star=ybar_star, s_sq_star=s_sq_star, n=n, eps1=eps1,
+                           eps2=eps2)
+        # The flat prior's sigma_sq conditional needs n >= 3.
+        prior = (PriorSpec.conjugate(0.3, 1.0, 1.0, 0.01) if conjugate or n == 2
+                 else PriorSpec.flat())
+        rng = np.random.default_rng(seed)
         state = _init_augmented(rel, rng)
-        for _ in range(3):
+        for _ in range(warm):
             augmented_sweep(state, rel, prior, constrained, rng)
+        if spread is not None:
+            state.y = min(max(state.ybar, 0.1), 0.9) + spread * rng.random(n)
+            state.ybar, state.s_sq = float(state.y.mean()), float(state.y.var(ddof=1))
         before, replay = copy.deepcopy(state), copy.deepcopy(rng)
         accepted = augmented_sweep(state, rel, prior, constrained, rng)
 
@@ -187,18 +211,53 @@ class TestAugmentedChain:
 
         y = before.y.copy()
         ybar, s_sq = before.ybar, before.s_sq
-        taken = 0
+        taken = []
         for i in range(n):
             yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), props[i], n)
             r = mh_accept_prob(ybar, yb_new, s_sq, s2_new, rel)
             if r >= 1.0 or uniforms[i] < r:
                 y[i] = props[i]
                 ybar, s_sq = yb_new, s2_new
-                taken += 1
-        assert taken == accepted
+                taken.append(i)
+        assert accepted == len(taken)
+        np.testing.assert_array_equal(np.flatnonzero(state.y != before.y), taken)
         np.testing.assert_array_equal(state.y, y)
         assert abs(state.ybar - ybar) <= 1e-12
         assert abs(state.s_sq - s_sq) <= 1e-12
+        # One np.float64 in the cached moments slows every later sweep.
+        assert type(state.ybar) is float and type(state.s_sq) is float
+
+    @given(n=st.integers(2, 300), data=st.data(), eps1=_EPS, eps2=_EPS,
+           ybar_star=st.floats(-1.0, 2.0), s_sq_star=st.floats(-0.5, 1.0),
+           spread=st.sampled_from([1.0, 1e-3]), p_accept=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_swap_bound_holds_for_every_earlier_pattern(self, n, data, eps1, eps2, ybar_star,
+                                                        s_sq_star, spread, p_accept, seed):
+        """Swap i's log acceptance ratio, computed in exact rational arithmetic
+        after a random accept/reject pattern of swaps j < i, is never below
+        -bound_i."""
+        rng = np.random.default_rng(seed)
+        y, props = spread * rng.random(n), spread * rng.random(n)
+        ybar = float(y.mean())
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = augmented._swap_bounds((props - y) / n, props + y - 2.0 * ybar, n,
+                                           eps1, eps2)
+        i = data.draw(st.integers(0, n - 1), label="i")
+        before = np.where(np.arange(n) < i, np.where(rng.random(n) < p_accept, props, y), y)
+        after = before.copy()
+        after[i] = props[i]
+
+        def distances(values):
+            vals = [Fraction(v) for v in values.tolist()]
+            mean = sum(vals) / n
+            var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+            return abs(Fraction(ybar_star) - mean), abs(Fraction(s_sq_star) - var)
+
+        (d1, d2), (d1_new, d2_new) = distances(before), distances(after)
+        log_ratio = (-Fraction(eps1) * n * (d1_new - d1) - Fraction(eps2) * n * (d2_new - d2))
+        if math.isfinite(bound[i]):
+            assert log_ratio >= -Fraction(bound[i]) * (1 + Fraction(1, 10 ** 9))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n, eps, iters, seeds", [(50, 0.25, 20_000, (11, 12)),
@@ -227,7 +286,8 @@ class TestAugmentedChain:
             return best
 
         per_iter_time(100, 20)  # warm-up
-        times = {n: per_iter_time(n, max(4, 2000 // n)) for n in (100, 1000, 10000)}
+        # The sweep's fixed cost of about 50 us would dominate at n = 100.
+        times = {n: per_iter_time(n, max(4, 20_000 // n)) for n in (1000, 10_000, 100_000)}
         ns = np.log(list(times.keys()))
         ts = np.log(list(times.values()))
         slope = np.polyfit(ns, ts, 1)[0]
