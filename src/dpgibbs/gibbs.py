@@ -61,7 +61,7 @@ from .release import Bounds, Budget, PrivateRelease
 
 _SIGMA_SQ_FLOOR = 1e-4  # initialization floor when the released variance is <= 0
 _ABS_DIFF_FLOOR = 1e-12  # |ybar_star - ybar| clamp for the inverse-Gaussian mean
-_SLICE_WIDTH = 4.0  # widest slice interval on log c under the flat prior; 4 times it under nig
+_SLICE_WIDTH = 4.0  # widest slice interval on log c; the collapsed sampler's is 4 times it under nig
 _SLICE_SHRINKS = 500  # shrinkage proposals before the slice step gives up
 _BYTES_PER_LATENT = 120  # peak bytes per latent of a latent-value chain (tracemalloc)
 
@@ -350,7 +350,7 @@ def sweep_constants(release_unit: PrivateRelease, prior: PriorSpec,
             mode is ConstraintMode.MOMENT_CONSTRAINED, eps1n, (n - 1.0) / 2.0, prior.kappa0,
             prior.mu0, prior.nu0 * prior.sigma0_sq, prior.nu0 / 2.0 + 2.0,
             (4.0 if prior.kappa0 else 1.0)
-            * min(_SLICE_WIDTH, 8.0 / (lam * clamped_release(release_unit)[1])))
+            * slice_width(lam * clamped_release(release_unit)[1], _SLICE_WIDTH))
 
 
 def _ridge_log_ratio(x: float, p: tuple) -> float:
@@ -375,18 +375,25 @@ def _ridge_log_ratio(x: float, p: tuple) -> float:
             - lam * (abs(c * s_sq - s_sq_star) - gap))
 
 
-def _slice_step(p: tuple, width: float, rng) -> float:
-    """x = log c from one slice step at x = 0 under e^_ridge_log_ratio(x, p): an interval
-    of the given width placed at random around 0, then shrinkage toward 0 (Neal, Ann.
-    Statist. 31, 2003, section 4, without stepping out)."""
+def slice_width(scale: float, widest: float) -> float:
+    """min(widest, 8/scale), the width of a slice interval on a coordinate where the
+    target falls by about e^-1 per 1/scale; an underflowed scale of 0 gives widest."""
+    return min(widest, 8.0 / scale) if scale else widest
+
+
+def _slice_step(log_ratio, p: tuple, width: float, rng) -> float:
+    """x from one slice step at x = 0 under e^log_ratio(x, p), the target at the image of
+    the state under group element x over the target at the state: an interval of the given
+    width placed at random around 0, then shrinkage toward 0 (Neal, Ann. Statist. 31, 2003,
+    section 4, without stepping out).  Both samplers' group moves take this step."""
     log_y, left = math.log1p(-rng.random()), -width * rng.random()
     right = left + width
     for _ in range(_SLICE_SHRINKS):
         x = left + (right - left) * rng.random()
-        if _ridge_log_ratio(x, p) >= log_y:
+        if log_ratio(x, p) >= log_y:
             return x
         left, right = (x, right) if x < 0.0 else (left, x)
-    raise SamplingError("the slice step on log c ran out of shrinkage proposals",
+    raise SamplingError(f"the slice step on {log_ratio.__name__} ran out of shrinkage proposals",
                         {"left": left, "right": right, "log_y": log_y, "p": p})
 
 
@@ -434,7 +441,7 @@ def gibbs_step(state: GibbsState, release_unit: PrivateRelease, prior: PriorSpec
     p = (alpha, lam, ybar_star, s_sq_star, n / (n - 1.0) if constrained else 0.0, sigma_sq, s_sq,
          mu_at, mu - mu_at, ybar_at, ybar - ybar_at, (2.0 if kappa0 else 1.0) - power, rate,
          omega_sq_inv / 2.0 if kappa0 else 0.0, noise, abs(s_sq - s_sq_star))
-    if (c := math.exp(_slice_step(p, width, rng))) != 1.0:
+    if (c := math.exp(_slice_step(_ridge_log_ratio, p, width, rng))) != 1.0:
         root = math.sqrt(c)
         mu, sigma_sq = mu_at + root * (mu - mu_at), c * sigma_sq
         ybar, s_sq = ybar_at + root * (ybar - ybar_at), c * s_sq

@@ -11,15 +11,19 @@ tests use them: the TGM weights and density (``tgm_weights``,
 likelihoods (``likelihood_s2_star``, ``laplace_gauss_marginal``).
 
 The exceptions are the two reference sweeps.  ``augmented_sweep_reference``
-is the latent-value sweep written one latent at a time, with its O(1)
+is the latent-value scan written one latent at a time, with its O(1)
 moment update and acceptance probability as separate helpers, against
-which the package's block-and-scan sweep is checked.
+which the package's block-and-scan sweep is checked; mh_accept_prob is
+the acceptance probability on plain moments, against which the anchored
+form the scan uses is checked.
 ``gibbs_step_reference`` is the collapsed sweep as one conditional draw
 per coordinate, against which the blocked sweep with its scale move is
 checked.  ``collapsed_joint_draws`` (rejection from the prior and data
 model) and ``successive_conditional_draws`` (the sweep under test,
 alternated with release regeneration) are the two sides of Geweke's
-joint-distribution test.
+joint-distribution test, and ``latent_joint_draws`` and
+``latent_successive_conditional_draws`` the latent-value sampler's;
+``geweke_z`` compares the two sides.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from scipy import integrate
 from scipy import special as sc
 from scipy.special import cython_special as cs
 
+from dpgibbs.augmented import AugmentedState
 from dpgibbs.distributions import (
     _check_tgm,
     _log_reg_inc_gamma_lower,
@@ -51,7 +56,7 @@ from dpgibbs.gibbs import (
     draw_sigma_sq,
 )
 from dpgibbs.release import UNIT, Budget, PrivateRelease
-from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth
+from dpgibbs.summary import _GRID_SIZE, _KDE_CHUNK, _silverman_bandwidth, mc_se
 
 
 def simpson_cdf_of_pdf(pdf, lo: float, hi: float, n_points: int = 20001,
@@ -336,17 +341,44 @@ def kde_mode_reference(samples) -> float:
     return float(grid[int(np.argmax(dens))])  # argmax: lowest grid point on ties
 
 
-def moments_swap_update(ybar: float, s_sq: float, old_yi: float, new_yi: float,
+def moments_swap_update(ybar0: float, old_yi: float, new_yi: float,
                         n: int) -> tuple[float, float]:
-    """Mean/variance of the dataset after replacing one value, in O(1)."""
+    """What replacing one value adds to the moments held about a fixed anchor ybar0.
+
+    The mean is ybar0 + t and s = sum (y - ybar0)^2 / (n-1), so s_sq = s - n/(n-1) t^2
+    (anchored_moments).  The swap adds step = (new - old)/n to t and n/(n-1) step
+    (new + old - 2 ybar0) to s, which is small where the values are close: unlike
+    new^2 - old^2, it loses nothing to cancellation when the latents lie within 1e-6
+    of each other.  Returns the two increments, as the sweep forms them.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    delta = (new_yi - old_yi) / n
-    ybar_new = ybar + delta
-    # (n-1) s_sq = sum y^2 - n ybar^2; track the change in both terms.
-    sq_change = new_yi * new_yi - old_yi * old_yi
-    s_sq_new = s_sq + (sq_change - n * delta * (ybar_new + ybar)) / (n - 1.0)
-    return ybar_new, max(s_sq_new, 0.0)
+    step = (new_yi - old_yi) / n
+    return step, n / (n - 1.0) * step * (new_yi + old_yi - 2.0 * ybar0)
+
+
+def anchored_moments(ybar0: float, t: float, s: float, n: int) -> tuple[float, float]:
+    """(ybar, s_sq) from the anchored sums of moments_swap_update."""
+    return ybar0 + t, max(s - n / (n - 1.0) * t * t, 0.0)
+
+
+def anchored_accept_prob(ybar0: float, t: float, s: float, step: float, v: float,
+                         release_unit) -> float:
+    """mh_accept_prob of the swap that adds step to t and v to s, with each distance
+    formed as the sweep forms it: |(ybar* - ybar0) - t| and |s* - s + n/(n-1) t^2|.
+
+    The same rounding matters where eps n overflows to inf: then only the sign of a
+    distance change decides, and a change below the ulp of s* can round either way.
+    """
+    n = release_unit.n
+    k, c1, sstar = n / (n - 1.0), release_unit.ybar_star - ybar0, release_unit.s_sq_star
+    a = t + step
+    expo = (-release_unit.budget.eps1 * n * (abs(c1 - a) - abs(c1 - t))
+            - release_unit.budget.eps2 * n * (abs(sstar - s - v + k * a * a)
+                                              - abs(sstar - s + k * t * t)))
+    if expo >= 0.0:
+        return 1.0
+    return math.exp(expo)
 
 
 def mh_accept_prob(ybar_prev: float, ybar_prop: float, s2_prev: float,
@@ -377,9 +409,9 @@ def augmented_sweep_reference(state, release_unit, prior, constrained, rng) -> i
     """
     n = release_unit.n
     y = state.y
-    ybar, s_sq = state.ybar, state.s_sq
-    mu = draw_mu(ybar, state.sigma_sq, n, prior, constrained, rng)
-    sigma_sq = draw_sigma_sq(mu, ybar, s_sq, n, prior, constrained, None, rng)
+    ybar0, t, s = state.ybar, 0.0, state.s_sq
+    mu = draw_mu(ybar0, state.sigma_sq, n, prior, constrained, rng)
+    sigma_sq = draw_sigma_sq(mu, ybar0, s, n, prior, constrained, None, rng)
     state.mu, state.sigma_sq = mu, sigma_sq
     sd = math.sqrt(sigma_sq)
     accepted = 0
@@ -388,13 +420,13 @@ def augmented_sweep_reference(state, release_unit, prior, constrained, rng) -> i
             prop = sample_trunc_normal(mu, sd, 0.0, 1.0, rng)
         else:
             prop = mu + sd * rng.standard_normal()
-        yb_new, s2_new = moments_swap_update(ybar, s_sq, float(y[i]), prop, n)
-        r = mh_accept_prob(ybar, yb_new, s_sq, s2_new, release_unit)
+        step, v = moments_swap_update(ybar0, float(y[i]), prop, n)
+        r = anchored_accept_prob(ybar0, t, s, step, v, release_unit)
         if r >= 1.0 or rng.random() < r:
             y[i] = prop
-            ybar, s_sq = yb_new, s2_new
+            t, s = t + step, s + v
             accepted += 1
-    state.ybar, state.s_sq = ybar, s_sq
+    state.ybar, state.s_sq = anchored_moments(ybar0, t, s, n)
     return accepted
 
 
@@ -459,6 +491,74 @@ def successive_conditional_draws(step, start: dict, steps: int, n: int, eps1: fl
         state = step(state, rel)
         out[:, t] = state.mu, state.sigma_sq, state.ybar, state.s_sq
     return dict(zip(("mu", "sigma_sq", "ybar", "s_sq"), out))
+
+
+def latent_joint_draws(size: int, n: int, prior, constrained: bool, rng) -> dict:
+    """Independent draws of (mu, sigma_sq, y) from the latent-value sampler's joint.
+
+    Rejection from the conjugate prior times prod_i N(y_i | mu, sigma_sq), keeping, in
+    constrained mode, draws with a feasible pair and every y_i in [0, 1]; that tilts the
+    prior by Z(mu, sigma)^n.  prior is a proper conjugate prior on [0, 1].  Returns mu,
+    sigma_sq, the n latents of each draw as the rows of y, and their ybar and s_sq.
+    """
+    keep = {k: [] for k in ("mu", "sigma_sq", "y")}
+    got = 0
+    while got < size:
+        m = min(4 * (size - got) + 1000, 200_000)
+        sigma_sq = 1.0 / rng.gamma(prior.nu0 / 2.0, 2.0 / (prior.nu0 * prior.sigma0_sq), m)
+        mu = prior.mu0 + np.sqrt(sigma_sq / prior.kappa0) * rng.standard_normal(m)
+        y = mu[:, None] + np.sqrt(sigma_sq)[:, None] * rng.standard_normal((m, n))
+        ok = np.ones(m, dtype=bool)
+        if constrained:
+            ok &= (mu >= 0.0) & (mu <= 1.0) & (sigma_sq <= mu * (1.0 - mu))
+            ok &= ((y >= 0.0) & (y <= 1.0)).all(axis=1)
+        for k, v in zip(keep, (mu, sigma_sq, y)):
+            keep[k].append(v[ok])
+        got += int(ok.sum())
+    out = {k: np.concatenate(v)[:size] for k, v in keep.items()}
+    out["ybar"], out["s_sq"] = out["y"].mean(axis=1), out["y"].var(axis=1, ddof=1)
+    return out
+
+
+def latent_successive_conditional_draws(step, start: dict, steps: int, n: int, eps1: float,
+                                        eps2: float, rng) -> dict:
+    """Geweke's successive-conditional simulator for the latent-value sampler.
+
+    From start (mu, sigma_sq and the latents y of one joint draw), it alternates:
+    regenerate the release from the latents' exact moments, ybar_star ~ Laplace(ybar,
+    1/(eps1 n)) and s_sq_star ~ Laplace(s_sq, 1/(eps2 n)); then call step(state,
+    release_unit) for one sweep of the AugmentedState.  Returns the states of every sweep.
+    """
+    budget = Budget(eps1, eps2)
+    y = np.array(start["y"], dtype=float)
+    state = AugmentedState(mu=float(start["mu"]), sigma_sq=float(start["sigma_sq"]), y=y,
+                           ybar=float(y.mean()), s_sq=float(y.var(ddof=1)))
+    lap1 = rng.laplace(0.0, 1.0 / (eps1 * n), steps)
+    lap2 = rng.laplace(0.0, 1.0 / (eps2 * n), steps)
+    out = np.empty((4, steps))
+    for t in range(steps):
+        rel = PrivateRelease(ybar_star=float(state.y.mean()) + lap1[t],
+                             s_sq_star=float(state.y.var(ddof=1)) + lap2[t], n=n,
+                             budget=budget, bounds=UNIT)
+        step(state, rel)
+        out[:, t] = state.mu, state.sigma_sq, state.ybar, state.s_sq
+    return dict(zip(("mu", "sigma_sq", "ybar", "s_sq"), out))
+
+
+def geweke_z(chain: dict, ref: dict) -> dict:
+    """z of the chain's first and second moments of mu, log sigma_sq, ybar and s_sq
+    against independent draws ref from the joint; the chain's standard errors allow
+    for its autocorrelation."""
+    z = {}
+    for name in ("mu", "sigma_sq", "ybar", "s_sq"):
+        a1, b1 = chain[name], ref[name]
+        if name == "sigma_sq":
+            a1, b1 = np.log(a1), np.log(b1)
+        for power in (1, 2):
+            a, b = a1 ** power, b1 ** power
+            se = math.hypot(mc_se(a), b.std() / math.sqrt(b.size))
+            z[name, power] = (a.mean() - b.mean()) / se
+    return z
 
 
 def gibbs_step_reference(state: GibbsState, release_unit, prior, mode: ConstraintMode,

@@ -32,6 +32,7 @@ from dpgibbs.summary import ess, mc_se
 from oracles import (
     collapsed_joint_draws,
     flat_posterior_grid_oracle,
+    geweke_z,
     gibbs_step_reference,
     nig_posterior_grid_oracle,
     successive_conditional_draws,
@@ -671,15 +672,7 @@ def successive_conditional_z(prior, n, mode, seed, steps):
     chain = successive_conditional_draws(
         lambda state, rel: gibbs_step(state, rel, prior, mode, rng),
         start, steps, n, eps, eps, rng)
-    for draws in (ref, chain):
-        draws["sigma_sq"] = np.log(draws["sigma_sq"])
-    z = {}
-    for name in ("mu", "sigma_sq", "ybar", "s_sq"):
-        for power in (1, 2):
-            a, b = chain[name] ** power, ref[name] ** power
-            se = math.hypot(mc_se(a), b.std() / math.sqrt(b.size))
-            z[name, power] = (a.mean() - b.mean()) / se
-    return z
+    return geweke_z(chain, ref)
 
 
 class TestJointDistribution:
