@@ -166,21 +166,23 @@ def _scale_log_ratio(x: float, p: tuple) -> float:
     The image has c sigma_sq and the latents mu + sqrt(c) (y - mu), so ybar_c = ybar sqrt(c)
     + off and c s_sq, with off = mu - mu sqrt(c).  The prior, the n normal densities (c^-n/2)
     and the Jacobian c^(1 + n/2) give c^power e^(-rate (e^-x - 1)); then the two Laplace
-    terms.  In constrained mode, -inf unless c sigma_sq <= mu (1 - mu) and the latents'
-    images min(y) sqrt(c) + off and max(y) sqrt(c) + off lie in [0, 1].
+    terms, each 0 where its distance does not change (else inf * 0 at an infinite eps n).
+    In constrained mode, -inf unless c sigma_sq <= mu (1 - mu) and the latents' images
+    min(y) sqrt(c) + off and max(y) sqrt(c) + off lie in [0, 1].
     """
-    if x == 0.0:  # the state; the Laplace terms would be inf * 0 at an infinite eps n
-        return 0.0
     power, rate, mu, sigma_sq, cap, lo, hi, ybar, s_sq, e1, ybar_star, gap1, e2, s_sq_star, \
         gap2 = p
     c = math.exp(x)
+    if c == 1.0:  # the state, so that shrinkage ends once |x| rounds c to 1
+        return 0.0
     root = math.sqrt(c)
     off = mu - mu * root
     if cap is not None and not (c * sigma_sq <= cap and lo * root + off >= 0.0
                                 and hi * root + off <= 1.0):
         return -math.inf
-    return (power * x - rate * math.expm1(-x) - e1 * (abs(ybar_star - ybar * root - off) - gap1)
-            - e2 * (abs(s_sq_star - c * s_sq) - gap2))
+    d1 = abs(ybar_star - (ybar * root + off)) - gap1
+    d2 = abs(s_sq_star - c * s_sq) - gap2
+    return power * x - rate * math.expm1(-x) - (d1 and e1 * d1) - (d2 and e2 * d2)
 
 
 def _shift_log_ratio(d: float, p: tuple) -> float:
@@ -188,8 +190,9 @@ def _shift_log_ratio(d: float, p: tuple) -> float:
     at the state.
 
     The normal densities and s_sq do not move; the prior N(mu | mu0, sigma_sq/kappa0) and
-    the ybar Laplace term do.  In constrained mode, -inf unless sigma_sq <= (mu + d)(1 - mu
-    - d) and the latents' images lo + (off + d) and hi + (off + d) lie in [0, 1].
+    the ybar Laplace term do, the latter 0 where ybar + d rounds to ybar.  In constrained
+    mode, -inf unless sigma_sq <= (mu + d)(1 - mu - d) and the latents' images
+    lo + (off + d) and hi + (off + d) lie in [0, 1].
     """
     if d == 0.0:
         return 0.0
@@ -198,7 +201,8 @@ def _shift_log_ratio(d: float, p: tuple) -> float:
     if constrained and not (sigma_sq <= m * (1.0 - m)
                             and lo + (off + d) >= 0.0 and hi + (off + d) <= 1.0):
         return -math.inf
-    return -half_prec * d * (2.0 * lean + d) - e1 * (abs(ybar_star - ybar - d) - gap1)
+    d1 = abs(ybar_star - (ybar + d)) - gap1
+    return -half_prec * d * (2.0 * lean + d) - (d1 and e1 * d1)
 
 
 def move_constants(release_unit: PrivateRelease, prior: PriorSpec) -> tuple:

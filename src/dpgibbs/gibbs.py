@@ -393,7 +393,7 @@ def _slice_step(log_ratio, p: tuple, width: float, rng) -> float:
         if log_ratio(x, p) >= log_y:
             return x
         left, right = (x, right) if x < 0.0 else (left, x)
-    raise SamplingError(f"the slice step on {log_ratio.__name__} ran out of shrinkage proposals",
+    raise SamplingError("the slice step ran out of shrinkage proposals",
                         {"left": left, "right": right, "log_y": log_y, "p": p})
 
 

@@ -1,20 +1,19 @@
 """Apply known bugs to a copy of the package and check that the joint gates catch them.
 
-    python tests/mutants.py [--gate NODE_ID ...]
+    python tests/mutants.py
 
 Each mutant is a set of exact text substitutions in ``src/``.  The script copies
 ``src/`` and ``tests/`` into a temporary directory, applies one mutant there, and runs
-pytest on the gates; a mutant is caught when a gate fails.  The unmutated copy runs
+pytest on GATES; a mutant is caught when a gate fails.  The unmutated copy runs
 first and must pass.  The repository itself is never modified.
 
-The default gate is the latent-value sampler's successive-conditional test, about a
+The gate is the latent-value sampler's successive-conditional test, about a
 minute and a half per run.  This script is not part of the test suite: pytest
 collects only ``test_*.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -57,22 +56,18 @@ def mutate(copy: Path, edits) -> None:
         path.write_text(text.replace(old, new))
 
 
-def failing_tests(copy: Path, gates) -> list[str]:
+def failing_tests(copy: Path) -> list[str]:
     """Node ids of the gates' failed tests in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *gates],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *GATES],
         cwd=copy, env=env, capture_output=True, text=True)
     if out.returncode not in (0, 1):
         raise SystemExit(f"pytest exited {out.returncode}:\n{out.stdout}\n{out.stderr}")
     return [line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAILED ")]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--gate", action="append", help="pytest node id (repeatable)")
-    args = parser.parse_args(argv)
-    gates = args.gate or GATES
+def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="dpgibbs-mutants-"))
     survivors = 0
     try:
@@ -84,7 +79,7 @@ def main(argv=None) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copy)
             mutate(copy, edits)
-            failed = failing_tests(copy, gates)
+            failed = failing_tests(copy)
             if not edits and failed:
                 raise SystemExit(f"the unmutated copy fails: {failed}")
             survivors += bool(edits) and not failed

@@ -181,6 +181,21 @@ class TestAugmentedChain:
                     assert pair_feasible(state.mu, state.sigma_sq)
                     assert_cache_exact(state)
 
+    @pytest.mark.parametrize("eps2", [0.25, 1.797e308])
+    def test_group_moves_end_at_an_infinite_eps1_n(self, eps2):
+        """At eps1 n = inf the ybar Laplace term is inf * 0 wherever a move leaves ybar where
+        it was, and the scan pins ybar so closely that every other scale is -inf or NaN: the
+        slice steps must still end at the state, in both modes and under both priors."""
+        rel = unit_release(n=25, eps1=1.797e308, eps2=eps2)
+        rng = np.random.default_rng(2)
+        for constrained in (False, True):
+            for prior in (PriorSpec.flat(), PriorSpec.conjugate(0.3, 1.0, 1.0, 0.01)):
+                state = _init_augmented(rel, rng)
+                for _ in range(100):
+                    augmented_sweep(state, rel, prior, constrained, rng)
+                    group_moves(state, rel, prior, constrained, rng)
+                    assert_cache_exact(state)
+
     def test_unconstrained_matches_collapsed_sampler(self):
         rel = unit_release()
         d1 = run_chain(rel, PriorSpec.flat(), ConstraintMode.UNCONSTRAINED,

@@ -101,6 +101,15 @@ class TestInfer:
                         "--seed", "5", "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("mode", [[], ["--constrained"]])
+    def test_likelihood_sampler_at_an_infinite_eps1_n_exits_0(self, tmp_path, mode):
+        # eps1 n overflows to inf: the latent-value chain's scale move must still end
+        rel = tmp_path / "r.json"
+        rel.write_text(json.dumps({**RELEASE, "eps1": 1.7976931348623157e308}))
+        code, err = run_quietly(_infer(str(rel), "--sampler", "likelihood", *mode)
+                                + ["--out", str(tmp_path / "d.csv")])
+        assert code == 0, err
+
     def test_latent_values_beyond_memory_exit_2(self, tmp_path, monkeypatch):
         # n = 10**12 latents need about 1.2e14 bytes: refused before any is drawn
         monkeypatch.setattr(augmented, "sample_trunc_normal_block", _no_latents)
